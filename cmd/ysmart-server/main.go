@@ -54,7 +54,7 @@ func run(args []string, stdout io.Writer, ready func(sqlAddr, adminAddr string) 
 		workers   = fs.Int("workers", 0, "goroutines per session engine (0 = NumCPU)")
 		inflight  = fs.Int("max-inflight", 4, "queries executing concurrently across all sessions")
 		queued    = fs.Int("max-queued", 64, "queries waiting in the admission FIFO before new ones are rejected")
-		timeout   = fs.Duration("query-timeout", 0, "per-query bound on admission wait + execution (0 = unlimited); timed-out runs are abandoned, not aborted")
+		timeout   = fs.Duration("query-timeout", 0, "per-query bound on admission wait + execution (0 = unlimited); timed-out runs are cancelled and free their slot")
 		cacheSize = fs.Int("cache-size", 128, "plan cache capacity in distinct normalized queries")
 		manimal   = fs.Bool("manimal", false, "apply MANIMAL-style scan rewrites to every translated plan (optimized plans cache under separate keys)")
 		reuseOn   = fs.Bool("reuse", false, "enable the cross-query materialized-output store: later queries skip jobs whose sub-plan artifacts are still valid")

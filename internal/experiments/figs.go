@@ -90,7 +90,7 @@ func Fig2b(w *Workload) (*Fig2bResult, error) {
 	for _, query := range []string{"Q-AGG", "Q-CSA"} {
 		cluster := mapreduce.SmallCluster()
 		cluster.DataScale = w.ClicksScale(clicksBytes)
-		hive, err := w.RunTranslated(query, translator.OneToOne, cluster, "fig2b-"+query+"-hive")
+		hive, _, err := w.RunTranslated(query, translator.OneToOne, cluster, "fig2b-"+query+"-hive")
 		if err != nil {
 			return nil, err
 		}
@@ -136,15 +136,15 @@ type Fig9Result struct {
 func Fig9(w *Workload) (*Fig9Result, error) {
 	cluster := mapreduce.SmallCluster()
 	cluster.DataScale = w.TPCHScale(tpchSmallBytes)
-	oto, err := w.RunTranslated("Q21", translator.OneToOne, cluster, "fig9-oto")
+	oto, _, err := w.RunTranslated("Q21", translator.OneToOne, cluster, "fig9-oto")
 	if err != nil {
 		return nil, err
 	}
-	ictc, err := w.RunTranslated("Q21", translator.ICTCOnly, cluster, "fig9-ictc")
+	ictc, _, err := w.RunTranslated("Q21", translator.ICTCOnly, cluster, "fig9-ictc")
 	if err != nil {
 		return nil, err
 	}
-	ys, err := w.RunTranslated("Q21", translator.YSmart, cluster, "fig9-ys")
+	ys, _, err := w.RunTranslated("Q21", translator.YSmart, cluster, "fig9-ys")
 	if err != nil {
 		return nil, err
 	}
@@ -201,15 +201,15 @@ func Fig10(w *Workload) (*Fig10Result, error) {
 	for _, query := range []string{"Q17", "Q18", "Q21", "Q-CSA"} {
 		cluster := mapreduce.SmallCluster()
 		cluster.DataScale = w.scaleFor(query, tpchSmallBytes)
-		ys, err := w.RunTranslated(query, translator.YSmart, cluster, "fig10-"+query+"-ys")
+		ys, _, err := w.RunTranslated(query, translator.YSmart, cluster, "fig10-"+query+"-ys")
 		if err != nil {
 			return nil, err
 		}
-		hive, err := w.RunTranslated(query, translator.OneToOne, cluster, "fig10-"+query+"-hive")
+		hive, _, err := w.RunTranslated(query, translator.OneToOne, cluster, "fig10-"+query+"-hive")
 		if err != nil {
 			return nil, err
 		}
-		pig, err := w.RunTranslated(query, translator.PigLike, cluster, "fig10-"+query+"-pig")
+		pig, _, err := w.RunTranslated(query, translator.PigLike, cluster, "fig10-"+query+"-pig")
 		if err != nil {
 			return nil, err
 		}
@@ -285,11 +285,11 @@ func Fig11(w *Workload) (*Fig11Result, error) {
 				cluster.Compress = compress
 				cluster.DataScale = w.TPCHScale(target)
 				label := fmt.Sprintf("fig11-%s-%d-%v", query, workers, compress)
-				ys, err := w.RunTranslated(query, translator.YSmart, cluster, label+"-ys")
+				ys, _, err := w.RunTranslated(query, translator.YSmart, cluster, label+"-ys")
 				if err != nil {
 					return nil, err
 				}
-				hive, err := w.RunTranslated(query, translator.OneToOne, cluster, label+"-hive")
+				hive, _, err := w.RunTranslated(query, translator.OneToOne, cluster, label+"-hive")
 				if err != nil {
 					return nil, err
 				}
@@ -306,15 +306,15 @@ func Fig11(w *Workload) (*Fig11Result, error) {
 	// Panel (d).
 	cluster := mapreduce.EC2Cluster(10)
 	cluster.DataScale = w.ClicksScale(clicksBytes)
-	ys, err := w.RunTranslated("Q-CSA", translator.YSmart, cluster, "fig11d-ys")
+	ys, _, err := w.RunTranslated("Q-CSA", translator.YSmart, cluster, "fig11d-ys")
 	if err != nil {
 		return nil, err
 	}
-	hive, err := w.RunTranslated("Q-CSA", translator.OneToOne, cluster, "fig11d-hive")
+	hive, _, err := w.RunTranslated("Q-CSA", translator.OneToOne, cluster, "fig11d-hive")
 	if err != nil {
 		return nil, err
 	}
-	pig, err := w.RunTranslated("Q-CSA", translator.PigLike, cluster, "fig11d-pig")
+	pig, _, err := w.RunTranslated("Q-CSA", translator.PigLike, cluster, "fig11d-pig")
 	if err != nil {
 		return nil, err
 	}
@@ -365,7 +365,7 @@ func Fig12(w *Workload) (*Fig12Result, error) {
 	for i := 0; i < 3; i++ {
 		cluster := mapreduce.FacebookCluster(int64(100 + i))
 		cluster.DataScale = w.TPCHScale(tpchFacebookByte)
-		ys, err := w.RunTranslated("Q17", translator.YSmart, cluster, fmt.Sprintf("fig12-ys%d", i+1))
+		ys, _, err := w.RunTranslated("Q17", translator.YSmart, cluster, fmt.Sprintf("fig12-ys%d", i+1))
 		if err != nil {
 			return nil, err
 		}
@@ -373,7 +373,7 @@ func Fig12(w *Workload) (*Fig12Result, error) {
 
 		cluster = mapreduce.FacebookCluster(int64(200 + i))
 		cluster.DataScale = w.TPCHScale(tpchFacebookByte)
-		hive, err := w.RunTranslated("Q17", translator.OneToOne, cluster, fmt.Sprintf("fig12-hive%d", i+1))
+		hive, _, err := w.RunTranslated("Q17", translator.OneToOne, cluster, fmt.Sprintf("fig12-hive%d", i+1))
 		if err != nil {
 			return nil, err
 		}
@@ -421,7 +421,7 @@ func Fig13(w *Workload) (*Fig13Result, error) {
 		for i := 0; i < 3; i++ {
 			cluster := mapreduce.FacebookCluster(int64(300 + 10*qi + i))
 			cluster.DataScale = w.TPCHScale(tpchFacebookByte)
-			ys, err := w.RunTranslated(query, translator.YSmart, cluster, fmt.Sprintf("fig13-%s-ys%d", query, i))
+			ys, _, err := w.RunTranslated(query, translator.YSmart, cluster, fmt.Sprintf("fig13-%s-ys%d", query, i))
 			if err != nil {
 				return nil, err
 			}
@@ -430,7 +430,7 @@ func Fig13(w *Workload) (*Fig13Result, error) {
 
 			cluster = mapreduce.FacebookCluster(int64(400 + 10*qi + i))
 			cluster.DataScale = w.TPCHScale(tpchFacebookByte)
-			hive, err := w.RunTranslated(query, translator.OneToOne, cluster, fmt.Sprintf("fig13-%s-hive%d", query, i))
+			hive, _, err := w.RunTranslated(query, translator.OneToOne, cluster, fmt.Sprintf("fig13-%s-hive%d", query, i))
 			if err != nil {
 				return nil, err
 			}

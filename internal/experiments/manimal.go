@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -74,23 +75,29 @@ func Manimal(w *Workload) (*ManimalResult, error) {
 	}
 
 	out := &ManimalResult{}
-	runJobs := func(jobs []*mapreduce.Job) (*mapreduce.ChainStats, *mapreduce.DFS, error) {
-		dfs := w.FreshDFS()
+	newEngine := func() (*mapreduce.Engine, error) {
 		cluster := mapreduce.SmallCluster()
 		// Paper-scale costing (like the other figures): the off and on runs
 		// share the scale, so the predicted-time delta is the rewrites'.
 		cluster.DataScale = w.TPCHScale(tpchSmallBytes)
-		eng, err := mapreduce.NewEngine(dfs, cluster)
+		return mapreduce.NewEngine(w.FreshDFS(), cluster)
+	}
+	runJobs := func(p *userjobs.Program) (*mapreduce.ChainStats, []exec.Row, error) {
+		eng, err := newEngine()
 		if err != nil {
 			return nil, nil, err
 		}
-		stats, err := eng.RunChain(jobs)
-		return stats, dfs, err
+		stats, err := eng.RunChain(p.Jobs)
+		if err != nil {
+			return nil, nil, err
+		}
+		rows, err := p.ReadResult(eng.DFS())
+		return stats, rows, err
 	}
 
 	for _, off := range userjobs.All() {
 		name := off.Jobs[0].Name
-		offStats, offDFS, err := runJobs(off.Jobs)
+		offStats, offRows, err := runJobs(off)
 		if err != nil {
 			return nil, fmt.Errorf("%s off: %w", name, err)
 		}
@@ -101,17 +108,9 @@ func Manimal(w *Workload) (*ManimalResult, error) {
 			}
 		}
 		applied := rep.Apply(on.Jobs)
-		onStats, onDFS, err := runJobs(on.Jobs)
+		onStats, onRows, err := runJobs(on)
 		if err != nil {
 			return nil, fmt.Errorf("%s on: %w", name, err)
-		}
-		offRows, err := off.ReadResult(offDFS)
-		if err != nil {
-			return nil, err
-		}
-		onRows, err := on.ReadResult(onDFS)
-		if err != nil {
-			return nil, err
 		}
 		out.Rows = append(out.Rows, manimalRow(
 			name, "user-job", applied, offStats, onStats,
@@ -135,15 +134,12 @@ func Manimal(w *Workload) (*ManimalResult, error) {
 			a, _ := optanalysis.ApplyTranslation(tr)
 			applied = len(a)
 		}
-		stats, dfs, err := runJobs(tr.Jobs)
+		eng, err := newEngine()
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		rows, err := tr.ReadResult(dfs)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return stats, rows, applied, nil
+		rows, stats, _, err := translator.Execute(context.Background(), eng, tr, nil, nil)
+		return stats, rows, applied, err
 	}
 	offStats, offRows, _, err := translated("manimal-off", false)
 	if err != nil {

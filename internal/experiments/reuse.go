@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -79,16 +80,10 @@ func Reuse(w *Workload) (*ReuseResult, error) {
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			rp := translator.ApplyReuse(tr, store, dfs)
-			stats, err := eng.RunChain(rp.Jobs)
+			rows, stats, rp, err := translator.Execute(context.Background(), eng, tr, store, nil)
 			if err != nil {
 				return nil, nil, nil, fmt.Errorf("%s %s: %w", name, system, err)
 			}
-			rows, err := rp.ReadResult(dfs)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("%s %s: %w", name, system, err)
-			}
-			rp.Record(store, dfs, stats)
 			return rp, stats, dbms.SortedLines(rows), nil
 		}
 		_, coldStats, coldRows, err := round("reuse-cold")

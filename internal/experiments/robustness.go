@@ -66,11 +66,11 @@ func Robustness(w *Workload, seed int64) (*RobustnessResult, error) {
 				return c
 			}
 			label := fmt.Sprintf("robust-%s-p%g", query, prob)
-			ysStats, ysRows, err := w.RunTranslatedResult(query, translator.YSmart, cluster(), label+"-ys")
+			ysStats, ysRows, err := w.RunTranslated(query, translator.YSmart, cluster(), label+"-ys")
 			if err != nil {
 				return nil, err
 			}
-			hiveStats, hiveRows, err := w.RunTranslatedResult(query, translator.OneToOne, cluster(), label+"-hive")
+			hiveStats, hiveRows, err := w.RunTranslated(query, translator.OneToOne, cluster(), label+"-hive")
 			if err != nil {
 				return nil, err
 			}

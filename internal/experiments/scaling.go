@@ -36,14 +36,14 @@ func ScalingSweep(w *Workload) (*ScalingResult, error) {
 		target := float64(workers) * 1e9
 		cluster := mapreduce.EC2Cluster(workers)
 		cluster.DataScale = w.TPCHScale(target)
-		ys, err := w.RunTranslated("Q21", translator.YSmart, cluster,
+		ys, _, err := w.RunTranslated("Q21", translator.YSmart, cluster,
 			fmt.Sprintf("scale-%d-ys", workers))
 		if err != nil {
 			return nil, err
 		}
 		cluster = mapreduce.EC2Cluster(workers)
 		cluster.DataScale = w.TPCHScale(target)
-		hive, err := w.RunTranslated("Q21", translator.OneToOne, cluster,
+		hive, _, err := w.RunTranslated("Q21", translator.OneToOne, cluster,
 			fmt.Sprintf("scale-%d-hive", workers))
 		if err != nil {
 			return nil, err

@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ysmart/internal/datagen"
@@ -104,36 +105,11 @@ func (w *Workload) scaleFor(query string, tpchTarget float64) float64 {
 	return w.ClicksScale(clicksBytes)
 }
 
-// RunTranslated translates a named workload query and executes it on the
-// cluster.
-func (w *Workload) RunTranslated(query string, mode translator.Mode, cluster *mapreduce.Cluster, label string) (*mapreduce.ChainStats, error) {
-	sql, ok := queries.Named()[query]
-	if !ok {
-		return nil, fmt.Errorf("unknown workload query %q", query)
-	}
-	root, err := queries.Plan(sql)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", query, err)
-	}
-	tr, err := translator.Translate(root, mode, translator.Options{QueryName: label})
-	if err != nil {
-		return nil, fmt.Errorf("%s (%v): %w", query, mode, err)
-	}
-	eng, err := mapreduce.NewEngine(w.FreshDFS(), cluster)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := eng.RunChain(tr.Jobs)
-	if err != nil {
-		return nil, fmt.Errorf("%s (%v): %w", query, mode, err)
-	}
-	return stats, nil
-}
-
-// RunTranslatedResult is RunTranslated plus the query's decoded output
-// rows, so callers can check result integrity — the robustness figure
-// compares fault-injected outputs against fault-free ones.
-func (w *Workload) RunTranslatedResult(query string, mode translator.Mode, cluster *mapreduce.Cluster, label string) (*mapreduce.ChainStats, []exec.Row, error) {
+// RunTranslated translates a named workload query, executes it on the
+// cluster and returns its stats plus the decoded output rows, so callers
+// can check result integrity — the robustness figure compares
+// fault-injected outputs against fault-free ones.
+func (w *Workload) RunTranslated(query string, mode translator.Mode, cluster *mapreduce.Cluster, label string) (*mapreduce.ChainStats, []exec.Row, error) {
 	sql, ok := queries.Named()[query]
 	if !ok {
 		return nil, nil, fmt.Errorf("unknown workload query %q", query)
@@ -146,16 +122,11 @@ func (w *Workload) RunTranslatedResult(query string, mode translator.Mode, clust
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s (%v): %w", query, mode, err)
 	}
-	dfs := w.FreshDFS()
-	eng, err := mapreduce.NewEngine(dfs, cluster)
+	eng, err := mapreduce.NewEngine(w.FreshDFS(), cluster)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats, err := eng.RunChain(tr.Jobs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s (%v): %w", query, mode, err)
-	}
-	rows, err := tr.ReadResult(dfs)
+	rows, stats, _, err := translator.Execute(context.Background(), eng, tr, nil, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s (%v): %w", query, mode, err)
 	}

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -33,6 +34,10 @@ type Engine struct {
 	// far on this engine. Span events are stamped with it, so traces from
 	// successive chains on one engine share a single timeline.
 	simNow float64
+	// ctx is the context of the chain being run (nil outside
+	// RunChainContext). forEachTask checks it before every work item, so
+	// a cancelled chain stops at the next task boundary.
+	ctx context.Context
 }
 
 // NewEngine builds an engine. The cluster must validate.
@@ -78,6 +83,15 @@ func (e *Engine) Now() float64 { return e.simNow }
 // RunChain executes jobs sequentially in dependency order (the way Hive
 // drove its job chains) and returns per-job stats in execution order.
 func (e *Engine) RunChain(jobs []*Job) (*ChainStats, error) {
+	return e.RunChainContext(context.Background(), jobs)
+}
+
+// RunChainContext is RunChain under ctx: once ctx is done, the chain stops
+// with ctx's error at the next job or task boundary. A job stopped during
+// its map tasks or its concurrent reduce writes no output.
+func (e *Engine) RunChainContext(ctx context.Context, jobs []*Job) (*ChainStats, error) {
+	e.ctx = ctx
+	defer func() { e.ctx = nil }()
 	ordered, err := topoSort(jobs)
 	if err != nil {
 		return nil, err
@@ -97,6 +111,9 @@ func (e *Engine) RunChain(jobs []*Job) (*ChainStats, error) {
 			obs.F("shuffle_bytes", stats.TotalShuffleBytes()))
 	}()
 	for i, j := range ordered {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("job %s: %w", j.Name, err)
+		}
 		var gap float64
 		if i > 0 {
 			gap = e.nextGap()
@@ -501,7 +518,7 @@ func (e *Engine) costJob(j *Job, s *JobStats, preCombineRecords, preCombineBytes
 	mapDisk := (inBytes + spillBytes) / (nodes * cm.DiskBandwidth)
 	mapCPU := (mapCPURecords(s, cm, scale)*cm.MapCPUPerRecord + preBytes*cm.SortCPUPerByte) / cl.mapSlots()
 	mapWaves := math.Ceil(float64(s.NumMapTasks) / cl.mapSlots())
-	s.MapTime = (math.Max(mapDisk, mapCPU)+compressCPU/cl.mapSlots())*cl.loadFactor()*cl.reworkFactor() + mapWaves*cm.TaskOverhead
+	s.MapTime = (math.Max(mapDisk, mapCPU)+compressCPU/cl.mapSlots())*cl.loadFactor() + mapWaves*cm.TaskOverhead
 	s.MapBottleneck = "disk"
 	if mapCPU > mapDisk {
 		s.MapBottleneck = "cpu"
@@ -527,7 +544,7 @@ func (e *Engine) costJob(j *Job, s *JobStats, preCombineRecords, preCombineBytes
 	redNet := redOutBytes * repl / (nodes * cm.NetworkBandwidth)
 	redCPU := redRecords * cm.ReduceCPUPerRecord / cl.reduceSlots()
 	redWaves := math.Ceil(float64(s.NumReduceTasks) / cl.reduceSlots())
-	s.ReduceTime = math.Max(redDisk+redNet, redCPU)*cl.loadFactor()*cl.reworkFactor() + redWaves*cm.TaskOverhead
+	s.ReduceTime = math.Max(redDisk+redNet, redCPU)*cl.loadFactor() + redWaves*cm.TaskOverhead
 	s.ReduceBottleneck = "disk+net"
 	if redCPU > redDisk+redNet {
 		s.ReduceBottleneck = "cpu"
@@ -554,7 +571,7 @@ func (e *Engine) costMapOnly(j *Job, s *JobStats, preCombineRecords, preCombineB
 	mapNet := outBytes * repl / (nodes * cm.NetworkBandwidth)
 	mapCPU := mapCPURecords(s, cm, scale) * cm.MapCPUPerRecord / cl.mapSlots()
 	mapWaves := math.Ceil(float64(s.NumMapTasks) / cl.mapSlots())
-	s.MapTime = math.Max(mapDisk+mapNet, mapCPU)*cl.loadFactor()*cl.reworkFactor() + mapWaves*cm.TaskOverhead
+	s.MapTime = math.Max(mapDisk+mapNet, mapCPU)*cl.loadFactor() + mapWaves*cm.TaskOverhead
 	s.MapBottleneck = "disk+net"
 	if mapCPU > mapDisk+mapNet {
 		s.MapBottleneck = "cpu"

@@ -10,8 +10,8 @@ import (
 )
 
 // FaultPlan is a deterministic, seeded fault scenario injected into the
-// engine's wave scheduler. It replaces the deprecated analytic
-// Cluster.TaskFailureRate inflation with event-level recovery: failed task
+// engine's wave scheduler. It models failures as event-level recovery
+// rather than an analytic inflation of phase times: failed task
 // attempts are actually re-executed through the user's map/reduce code
 // (re-reading their input from the surviving DFS replicas), whole-node
 // failures kill in-flight attempts and force completed map tasks on the

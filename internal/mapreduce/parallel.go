@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -61,19 +62,34 @@ func (e *Engine) Workers() int { return e.workers }
 // returned error is the lowest-indexed failure, matching what a sequential
 // loop that stops at the first error would report; on the inline (single
 // worker) path later tasks are genuinely not run, which is indistinguishable
-// because a failed job contributes no stats or output.
+// because a failed job contributes no stats or output. Once the chain's
+// context is done, items not yet started fail with its error, and so does
+// the whole call if the context ended while the last items ran.
 func (e *Engine) forEachTask(n int, fn func(i int) error) error {
+	ctx := e.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	done := ctx.Done()
+	run := func(i int) error {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+			return fn(i)
+		}
+	}
 	workers := e.workers
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := run(i); err != nil {
 				return err
 			}
 		}
-		return nil
+		return ctx.Err()
 	}
 	errs := make([]error, n)
 	var next atomic.Int64
@@ -88,7 +104,7 @@ func (e *Engine) forEachTask(n int, fn func(i int) error) error {
 					return
 				}
 				// lint:ignore sharecheck the atomic fetch-add hands each iteration a unique index, so errs[i] slots are disjoint
-				errs[i] = fn(i)
+				errs[i] = run(i)
 			}
 		}()
 	}
@@ -98,5 +114,5 @@ func (e *Engine) forEachTask(n int, fn func(i int) error) error {
 			return err
 		}
 	}
-	return nil
+	return ctx.Err()
 }

@@ -65,8 +65,8 @@ func NewAdmission(maxInflight, maxQueued int, reg *obs.Registry) *Admission {
 
 // Acquire blocks until a slot is granted, the deadline expires, or the
 // controller drains. A zero deadline means wait forever. On success the
-// returned release function must be called exactly once when the query
-// finishes (or its abandoned run completes).
+// returned release function must be called exactly once when the query's
+// run finishes or is cancelled.
 func (a *Admission) Acquire(deadline time.Time) (release func(), err error) {
 	start := time.Now()
 	a.mu.Lock()

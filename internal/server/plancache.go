@@ -86,7 +86,7 @@ func NewPlanCache(capacity int, mode translator.Mode, cat plan.Catalog, reg *obs
 func (c *PlanCache) SetOptimize(on bool) { c.optimize = on }
 
 // Plan is one leased executable plan. Exactly one query executes it at a
-// time; Release must be called when the run (or its abandonment) finishes.
+// time; Release must be called when the run finishes or is cancelled.
 type Plan struct {
 	// Translation is the leased job chain, exclusively owned until Release.
 	Translation *translator.Translation

@@ -32,9 +32,8 @@ type Config struct {
 	// MaxQueued bounds the admission FIFO queue (< 0 means 0).
 	MaxQueued int
 	// QueryTimeout bounds one query's admission wait + execution
-	// (0 = unlimited). A run that exceeds it is abandoned, not aborted:
-	// the client gets SQLSTATE 57014 immediately and the slot frees when
-	// the run completes.
+	// (0 = unlimited). A run that exceeds it is cancelled at its next
+	// task boundary; the slot frees before the client gets SQLSTATE 57014.
 	QueryTimeout time.Duration
 	// CacheSize bounds the plan cache's entry count (< 1 means 1).
 	CacheSize int

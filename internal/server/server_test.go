@@ -228,24 +228,43 @@ func TestServerConcurrentClients(t *testing.T) {
 }
 
 // TestServerQueryTimeout forces every query past its deadline and checks the
-// client receives SQLSTATE 57014 while the session stays orderly.
+// client receives SQLSTATE 57014 while the session stays orderly: the
+// cancelled run has already given back its admission slot when the error
+// arrives, and the same connection then answers a query without a
+// deadline correctly.
 func TestServerQueryTimeout(t *testing.T) {
 	srv, addr := startTestServer(t, func(cfg *Config) { cfg.QueryTimeout = time.Nanosecond })
 	cli := dialTest(t, addr)
 
-	for i := 0; i < 2; i++ { // the second query exercises the abandoned-run wait
+	for i := 0; i < 2; i++ { // the second query runs on the engine the first one cancelled
 		_, err := cli.Query(queries.QAGG)
 		var srvErr *ServerError
 		if !errors.As(err, &srvErr) || srvErr.Code != sqlstateQueryCanceled {
 			t.Fatalf("query %d: err = %v, want SQLSTATE %s", i, err, sqlstateQueryCanceled)
 		}
+		if got := srv.Registry().Value("ysmart_server_inflight"); got != 0 {
+			t.Fatalf("query %d: %v admission slot(s) still held after the 57014 reply", i, got)
+		}
 	}
 	if got := srv.Registry().Value("ysmart_server_query_timeouts_total"); got != 2 {
 		t.Fatalf("query_timeouts_total = %v, want 2", got)
 	}
-	// Graceful drain waits for the abandoned runs to finish.
+
+	// Lift the deadline for the next query on this connection. The session
+	// takes the plan cache lock before it reads the timeout, so writing
+	// under that lock orders the write before the read for the race
+	// detector too, not only through the wire round trip.
+	srv.cache.mu.Lock()
+	srv.cfg.QueryTimeout = 0
+	srv.cache.mu.Unlock()
+	res, err := cli.Query(queries.QAGG)
+	if err != nil {
+		t.Fatalf("query without a deadline: %v", err)
+	}
+	diffLines(t, "after timeouts", wireLines(res), oracleWireLines(t, queries.QAGG))
+
 	if !srv.Shutdown(10 * time.Second) {
-		t.Fatal("shutdown did not drain after abandoned runs")
+		t.Fatal("shutdown did not drain after cancelled runs")
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -18,10 +19,8 @@ import (
 // session is one client connection: its wire codec, its private simulated
 // runtime (DFS + engine preloaded with the server's datasets) and its live
 // status counters. The simple query protocol is strictly serial per
-// connection, so the runtime never sees concurrent chains — with one
-// exception: a timed-out query's run is abandoned, and the session waits
-// for it to finish before executing the next query (the engine has no
-// cancellation; see runQuery).
+// connection, and queries run on the session goroutine, so the runtime
+// never sees concurrent chains.
 type session struct {
 	id     int64
 	srv    *Server
@@ -39,12 +38,6 @@ type session struct {
 	// neither poisons nor borrows this session's artifacts. Immutable
 	// after newSession.
 	reuseEpochs map[string]int64
-
-	// pending, when non-nil, is the completion signal of a timed-out,
-	// abandoned run still executing on this session's engine; the next
-	// query waits on it (the engine is single-chain). Only the session's
-	// serve goroutine touches it.
-	pending <-chan struct{}
 
 	mu       sync.Mutex // guards the status fields below
 	remote   string
@@ -265,14 +258,11 @@ func (s *session) handleQuery(sql string) error {
 // runQuery resolves, admits and executes one statement, streaming its
 // result. Client-facing failures come back as errors; wire-level write
 // failures during streaming also surface here and end the session upstream.
+// The run happens under the query's deadline: a timed-out chain is
+// cancelled at its next task boundary, and the admission slot and plan
+// lease are back before the caller writes the error.
 func (s *session) runQuery(sql string, start time.Time) error {
 	srv := s.srv
-	if s.pending != nil {
-		// An abandoned run is still using this session's engine; the
-		// protocol already delivered its timeout error, so just wait.
-		<-s.pending
-		s.pending = nil
-	}
 	p, err := srv.cache.Get(sql)
 	if err != nil {
 		return err
@@ -290,75 +280,37 @@ func (s *session) runQuery(sql string, start time.Time) error {
 		s.mu.Unlock()
 	}()
 
+	timeout := srv.cfg.QueryTimeout
+	ctx := context.Background()
 	var deadline time.Time
-	if srv.cfg.QueryTimeout > 0 {
-		deadline = start.Add(srv.cfg.QueryTimeout)
+	if timeout > 0 {
+		deadline = start.Add(timeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
 	}
 	release, err := srv.admission.Acquire(deadline)
 	if err != nil {
 		p.Release()
 		return err
 	}
-
-	// The engine cannot be interrupted mid-chain, so a timed-out run is
-	// abandoned, not aborted: the client gets its error now, and the slot,
-	// lease and session runtime are reclaimed when the run actually ends.
-	// The session waits for that before its next query (serial runtimes).
-	type outcome struct {
-		rows []exec.Row
-		err  error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		defer release()
-		defer p.Release()
-		o := outcome{}
-		if srv.store != nil {
-			// Rewrite the leased translation against the reuse store
-			// (clones only — the cached Translation is never mutated, so
-			// lease pooling stays safe), run what survived, then record
-			// the executed jobs' outputs for future queries.
-			rp := translator.ApplyReuseAt(p.Translation, srv.store, s.dfs, s.reuseEpochs)
-			var stats *mapreduce.ChainStats
-			stats, o.err = s.engine.RunChain(rp.Jobs)
-			if o.err == nil {
-				o.rows, o.err = rp.ReadResult(s.dfs)
-			}
-			if o.err == nil {
-				rp.Record(srv.store, s.dfs, stats)
-			}
-		} else {
-			_, o.err = s.engine.RunChain(p.Translation.Jobs)
-			if o.err == nil {
-				o.rows, o.err = p.Translation.ReadResult(s.dfs)
-			}
-		}
-		done <- o
-	}()
-
-	var timeout <-chan time.Time
-	if !deadline.IsZero() {
-		t := time.NewTimer(time.Until(deadline))
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case o := <-done:
-		if o.err != nil {
-			return o.err
-		}
-		lat := time.Since(start).Seconds()
-		srv.reg.Observe("ysmart_server_query_seconds", lat)
-		srv.reg.Add("ysmart_server_queries_total", 1)
-		return s.sendResult(p.Schema, o.rows)
-	case <-timeout:
+	// The leased translation is rewritten into clones against the reuse
+	// store (the cached Translation is never mutated, so lease pooling
+	// stays safe); with reuse off it runs as translated.
+	rows, _, _, err := translator.Execute(ctx, s.engine, p.Translation, srv.store, s.reuseEpochs)
+	release()
+	p.Release()
+	if errors.Is(err, context.DeadlineExceeded) {
 		srv.reg.Add("ysmart_server_query_timeouts_total", 1)
-		finished := make(chan struct{})
-		go func() { <-done; close(finished) }()
-		s.pending = finished
-		s.srv.logf(obs.LevelWarn, "session.query_abandoned", s.id, p.Normalized)
-		return fmt.Errorf("%w after %s (run abandoned)", ErrQueryTimeout, srv.cfg.QueryTimeout)
+		s.srv.logf(obs.LevelWarn, "session.query_cancelled", s.id, p.Normalized)
+		return fmt.Errorf("%w after %s (run cancelled)", ErrQueryTimeout, timeout)
 	}
+	if err != nil {
+		return err
+	}
+	srv.reg.Observe("ysmart_server_query_seconds", time.Since(start).Seconds())
+	srv.reg.Add("ysmart_server_queries_total", 1)
+	return s.sendResult(p.Schema, rows)
 }
 
 // sendResult streams RowDescription + DataRows + CommandComplete.

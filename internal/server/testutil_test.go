@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"sync"
@@ -97,12 +98,9 @@ func runLeased(t *testing.T, p *Plan) []string {
 	for name, tableLines := range lines {
 		eng.DFS().Write(translator.TablePath(name), tableLines)
 	}
-	if _, err := eng.RunChain(p.Translation.Jobs); err != nil {
-		t.Fatalf("run chain: %v", err)
-	}
-	rows, err := p.Translation.ReadResult(eng.DFS())
+	rows, _, _, err := translator.Execute(context.Background(), eng, p.Translation, nil, nil)
 	if err != nil {
-		t.Fatalf("read result: %v", err)
+		t.Fatalf("execute: %v", err)
 	}
 	return dbms.SortedLines(rows)
 }

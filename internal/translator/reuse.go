@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"ysmart/internal/cmf"
-	"ysmart/internal/exec"
 	"ysmart/internal/mapreduce"
 	"ysmart/internal/obs"
 	"ysmart/internal/plan"
@@ -118,18 +117,15 @@ type reuseRecord struct {
 // ReusePlan is a translation rewritten against the materialized-output
 // store: the jobs that still need to run (clones — the source Translation
 // is never mutated, so plan-cache leasing stays safe), with inputs that
-// matched a stored artifact repointed at restore/ paths. Run rp.Jobs,
-// read the result via rp.ReadResult, then call rp.Record to materialize
-// the outputs of the jobs that did execute.
+// matched a stored artifact repointed at restore/ paths. Execute builds,
+// runs and records it.
 type ReusePlan struct {
 	// Jobs is the rewritten chain (possibly empty when the whole query
 	// came from the store; RunChain of an empty chain is a no-op).
 	Jobs []*mapreduce.Job
-	// Output/OutputTag/OutputSchema locate and type the result rows —
-	// Output points into restore/ when the final job was skipped.
-	Output       string
-	OutputTag    string
-	OutputSchema *exec.Schema
+	// Output locates the result rows — it points into restore/ when the
+	// final job was skipped.
+	Output string
 	// Hits and Misses count store lookups; Skipped of Total jobs were
 	// dropped from the chain (reused or transitively unneeded).
 	Hits    int
@@ -145,26 +141,19 @@ type ReusePlan struct {
 	epochs  map[string]int64
 }
 
-// ApplyReuse rewrites tr against the store, validating artifacts with the
-// store's current validity epochs. See ApplyReuseAt.
-func ApplyReuse(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS) *ReusePlan {
-	return ApplyReuseAt(tr, store, dfs, nil)
-}
-
-// ApplyReuseAt rewrites tr against the store using a caller-captured
-// epoch snapshot (nil = snapshot now). The snapshot is taken before
-// lookup and kept for Record, so a table overwrite racing the run can
-// only make artifacts look stale — recorded entries never claim epochs
-// newer than the data they were computed from. A job is dropped from the
-// chain when its own artifact is valid in the store, or when every chain
-// consumer of its output was dropped; surviving jobs are cloned with
-// their intermediate inputs repointed at the installed restore/ paths
-// (written into dfs here) and their DependsOn edges rebuilt among the
-// clones.
-func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epochs map[string]int64) *ReusePlan {
-	rp := &ReusePlan{Output: tr.Output, OutputTag: tr.OutputTag, OutputSchema: tr.OutputSchema, Total: len(tr.Jobs)}
+// applyReuse rewrites tr against the store using a caller-captured epoch
+// snapshot (nil = snapshot now); a nil store leaves the chain as it is.
+// The snapshot is taken before lookup and kept for record, so a table
+// overwrite racing the run can only make artifacts look stale — recorded
+// entries never claim epochs newer than the data they were computed from.
+// A job is dropped from the chain when its own artifact is valid in the
+// store, or when every chain consumer of its output was dropped; surviving
+// jobs are cloned with their intermediate inputs repointed at the
+// installed restore/ paths (written into dfs here) and their DependsOn
+// edges rebuilt among the clones.
+func applyReuse(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epochs map[string]int64) *ReusePlan {
+	rp := &ReusePlan{Jobs: tr.Jobs, Output: tr.Output, Total: len(tr.Jobs)}
 	if store == nil || len(tr.Jobs) == 0 || len(tr.Artifacts) != len(tr.Jobs) {
-		rp.Jobs = tr.Jobs
 		return rp
 	}
 	if epochs == nil {
@@ -201,7 +190,6 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 	}
 	rootIdx, ok := producer[tr.Output]
 	if !ok {
-		rp.Jobs = tr.Jobs
 		return rp
 	}
 
@@ -248,6 +236,7 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 	// with tr — safe because a leased Translation is executed by at most
 	// one engine at a time and the clones run in its place, never
 	// alongside it.
+	rp.Jobs = nil
 	cloneOf := make(map[*mapreduce.Job]*mapreduce.Job, n)
 	for i, j := range tr.Jobs {
 		if !needed[i] {
@@ -299,41 +288,14 @@ func RootArtifactKey(tr *Translation) (key string, ok bool) {
 	return "", false
 }
 
-// ReadResult decodes the query result rows from the DFS — the rewritten
-// chain's analogue of Translation.ReadResult.
-func (rp *ReusePlan) ReadResult(dfs *mapreduce.DFS) ([]exec.Row, error) {
-	lines, err := dfs.Read(rp.Output)
-	if err != nil {
-		return nil, err
-	}
-	var rows []exec.Row
-	for _, line := range lines {
-		tag, payload := cmf.SplitTag(line)
-		if tag != rp.OutputTag {
-			continue
-		}
-		row, err := exec.DecodeRow(payload, rp.OutputSchema)
-		if err != nil {
-			return nil, fmt.Errorf("result row %q: %w", line, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// Record materializes the outputs of the jobs that executed into the
+// record materializes the outputs of the jobs that executed into the
 // store, under the epoch snapshot captured at rewrite time and with each
 // job's cost-model PredictedTime as the rebuild cost the store's eviction
 // policy weighs against storage.
-func (rp *ReusePlan) Record(store *reuse.Store, dfs *mapreduce.DFS, stats *mapreduce.ChainStats) {
-	if store == nil {
-		return
-	}
-	predicted := make(map[string]float64)
-	if stats != nil {
-		for _, js := range stats.Jobs {
-			predicted[js.Name] = js.PredictedTime
-		}
+func (rp *ReusePlan) record(store *reuse.Store, dfs *mapreduce.DFS, stats *mapreduce.ChainStats) {
+	predicted := make(map[string]float64, len(stats.Jobs))
+	for _, js := range stats.Jobs {
+		predicted[js.Name] = js.PredictedTime
 	}
 	for _, rec := range rp.records {
 		lines, err := dfs.Read(rec.outPath)

@@ -1,6 +1,7 @@
 package translator
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,26 +12,23 @@ import (
 	"ysmart/internal/reuse"
 )
 
-// runReuse executes a reuse-rewritten chain and returns its result rows.
-func runReuse(t *testing.T, rp *ReusePlan, dfs *mapreduce.DFS) ([]string, *mapreduce.ChainStats) {
+// runReuse executes tr through the reuse store with Execute and returns
+// its result rows and the rewrite that ran.
+func runReuse(t *testing.T, tr *Translation, store *reuse.Store, dfs *mapreduce.DFS) ([]string, *ReusePlan) {
 	t.Helper()
 	eng, err := mapreduce.NewEngine(dfs, mapreduce.SmallCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := eng.RunChain(rp.Jobs)
+	rows, _, rp, err := Execute(context.Background(), eng, tr, store, nil)
 	if err != nil {
-		t.Fatalf("run rewritten chain: %v", err)
-	}
-	rows, err := rp.ReadResult(dfs)
-	if err != nil {
-		t.Fatalf("read result: %v", err)
+		t.Fatalf("execute: %v", err)
 	}
 	lines := make([]string, len(rows))
 	for i, r := range rows {
 		lines[i] = exec.EncodeRow(r)
 	}
-	return lines, stats
+	return lines, rp
 }
 
 // TestApplyReuseColdThenWarm is the tentpole round trip: a cold run
@@ -45,19 +43,17 @@ func TestApplyReuseColdThenWarm(t *testing.T) {
 	sql := queries.Named()["Q18"]
 
 	tr := translate(t, sql, YSmart, Options{QueryName: "q18-cold"})
-	rp := ApplyReuse(tr, store, dfs)
+	coldLines, rp := runReuse(t, tr, store, dfs)
 	if rp.Hits != 0 || rp.Skipped != 0 || len(rp.Jobs) != len(tr.Jobs) {
 		t.Fatalf("cold rewrite touched the chain: hits=%d skipped=%d jobs=%d/%d",
 			rp.Hits, rp.Skipped, len(rp.Jobs), len(tr.Jobs))
 	}
-	coldLines, coldStats := runReuse(t, rp, dfs)
-	rp.Record(store, dfs, coldStats)
 	if store.Len() != len(tr.Jobs) {
 		t.Fatalf("store holds %d entries after recording %d jobs", store.Len(), len(tr.Jobs))
 	}
 
 	tr2 := translate(t, sql, YSmart, Options{QueryName: "q18-warm"})
-	rp2 := ApplyReuse(tr2, store, dfs)
+	warmLines, rp2 := runReuse(t, tr2, store, dfs)
 	if len(rp2.Jobs) != 0 {
 		t.Fatalf("warm rewrite kept %d jobs, want 0", len(rp2.Jobs))
 	}
@@ -72,7 +68,6 @@ func TestApplyReuseColdThenWarm(t *testing.T) {
 		t.Errorf("warm savings not accounted: bytes=%d seconds=%v",
 			rp2.ArtifactBytes, rp2.PredictedSavedSeconds)
 	}
-	warmLines, _ := runReuse(t, rp2, dfs)
 	if !reflect.DeepEqual(warmLines, coldLines) {
 		t.Errorf("warm rows differ from cold rows:\n got  %v\n want %v", warmLines, coldLines)
 	}
@@ -87,9 +82,7 @@ func TestApplyReusePartial(t *testing.T) {
 	sql := queries.Named()["Q18"]
 
 	tr := translate(t, sql, YSmart, Options{QueryName: "q18-cold"})
-	rp := ApplyReuse(tr, store, dfs)
-	coldLines, coldStats := runReuse(t, rp, dfs)
-	rp.Record(store, dfs, coldStats)
+	coldLines, _ := runReuse(t, tr, store, dfs)
 
 	key, ok := RootArtifactKey(tr)
 	if !ok {
@@ -98,7 +91,7 @@ func TestApplyReusePartial(t *testing.T) {
 	store.Forget(key)
 
 	tr2 := translate(t, sql, YSmart, Options{QueryName: "q18-warm"})
-	rp2 := ApplyReuse(tr2, store, dfs)
+	warmLines, rp2 := runReuse(t, tr2, store, dfs)
 	if len(rp2.Jobs) != 1 || rp2.Skipped != rp2.Total-1 {
 		t.Fatalf("partial rewrite ran %d of %d jobs (skipped %d), want exactly the final job",
 			len(rp2.Jobs), rp2.Total, rp2.Skipped)
@@ -108,14 +101,12 @@ func TestApplyReusePartial(t *testing.T) {
 			t.Errorf("surviving job reads %q; intermediate inputs must be restored artifacts", in.Path)
 		}
 	}
-	warmLines, _ := runReuse(t, rp2, dfs)
 	if !reflect.DeepEqual(warmLines, coldLines) {
 		t.Errorf("partial warm rows differ from cold rows")
 	}
-	// Record after the partial run refreshes the root artifact: the next
+	// Recording the partial run refreshes the root artifact: the next
 	// rewrite is fully warm again.
-	rp2.Record(store, dfs, nil)
-	rp3 := ApplyReuse(translate(t, sql, YSmart, Options{QueryName: "q18-warm2"}), store, dfs)
+	rp3 := applyReuse(translate(t, sql, YSmart, Options{QueryName: "q18-warm2"}), store, dfs, nil)
 	if len(rp3.Jobs) != 0 {
 		t.Errorf("chain not fully warm after partial run recorded (%d jobs left)", len(rp3.Jobs))
 	}
@@ -145,13 +136,11 @@ func TestApplyReuseNeverMutatesSource(t *testing.T) {
 		before = append(before, jobShape{inputs: ins, deps: append([]*mapreduce.Job(nil), j.DependsOn...), jobPtrs: j})
 	}
 
-	rp := ApplyReuse(tr, store, dfs)
-	_, stats := runReuse(t, rp, dfs)
-	rp.Record(store, dfs, stats)
+	runReuse(t, tr, store, dfs)
 	if key, ok := RootArtifactKey(tr); ok {
 		store.Forget(key) // force a partial rewrite, the path that repoints inputs
 	}
-	ApplyReuse(tr, store, dfs)
+	applyReuse(tr, store, dfs, nil)
 
 	for i, j := range tr.Jobs {
 		if j != before[i].jobPtrs {
@@ -185,14 +174,11 @@ func TestOptimizedArtifactsDisjoint(t *testing.T) {
 	store := reuse.NewStore(0, nil)
 	sql := queries.Named()["Q-AGG"]
 
-	tr := translate(t, sql, YSmart, Options{QueryName: "plain"})
-	rp := ApplyReuse(tr, store, dfs)
-	_, stats := runReuse(t, rp, dfs)
-	rp.Record(store, dfs, stats)
+	runReuse(t, translate(t, sql, YSmart, Options{QueryName: "plain"}), store, dfs)
 
 	opt := translate(t, sql, YSmart, Options{QueryName: "optimized"})
 	opt.Optimized = true // what optanalysis.ApplyTranslation sets
-	rpOpt := ApplyReuse(opt, store, dfs)
+	rpOpt := applyReuse(opt, store, dfs, nil)
 	if rpOpt.Hits != 0 || len(rpOpt.Jobs) != len(opt.Jobs) {
 		t.Errorf("optimized translation consumed plain artifacts (hits=%d, jobs=%d/%d)",
 			rpOpt.Hits, len(rpOpt.Jobs), len(opt.Jobs))

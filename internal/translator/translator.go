@@ -1,6 +1,7 @@
 package translator
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"ysmart/internal/mapreduce"
 	"ysmart/internal/obs"
 	"ysmart/internal/plan"
+	"ysmart/internal/reuse"
 )
 
 // Mode selects the translation strategy.
@@ -117,7 +119,14 @@ func (t *Translation) Describe() string {
 
 // ReadResult decodes the query result rows from the DFS.
 func (t *Translation) ReadResult(dfs *mapreduce.DFS) ([]exec.Row, error) {
-	lines, err := dfs.Read(t.Output)
+	return t.readRows(dfs, t.Output)
+}
+
+// readRows decodes the lines of the file at path that carry the result's
+// source tag. The path is t.Output, or the restore/ artifact standing in
+// for it when the reuse rewrite skipped the final job.
+func (t *Translation) readRows(dfs *mapreduce.DFS, path string) ([]exec.Row, error) {
+	lines, err := dfs.Read(path)
 	if err != nil {
 		return nil, err
 	}
@@ -134,6 +143,31 @@ func (t *Translation) ReadResult(dfs *mapreduce.DFS) ([]exec.Row, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// Execute runs tr on eng and reads back its result: the one path from a
+// translation to rows. It rewrites the chain against the reuse store, runs
+// the surviving jobs under ctx, decodes the result rows and records the
+// executed jobs' outputs in the store. A nil store runs the chain as
+// translated. epochs is the validity snapshot that store lookups and
+// records use (nil = snapshot now). The returned plan reports the
+// rewrite's accounting and is nil when store is nil.
+func Execute(ctx context.Context, eng *mapreduce.Engine, tr *Translation, store *reuse.Store, epochs map[string]int64) ([]exec.Row, *mapreduce.ChainStats, *ReusePlan, error) {
+	dfs := eng.DFS()
+	rp := applyReuse(tr, store, dfs, epochs)
+	stats, err := eng.RunChainContext(ctx, rp.Jobs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	rows, err := tr.readRows(dfs, rp.Output)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if store == nil {
+		return rows, stats, nil, nil
+	}
+	rp.record(store, dfs, stats)
+	return rows, stats, rp, nil
 }
 
 // Translate compiles a logical plan into MapReduce jobs under the given

@@ -22,6 +22,7 @@
 package ysmart
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -341,27 +342,12 @@ func (r *Runtime) Run(t *Translation, opts ...RunOption) (*Result, error) {
 	}
 	if cfg.reuse != nil {
 		cfg.reuse.WatchDFS(r.dfs)
-		rp := translator.ApplyReuse(t, cfg.reuse, r.dfs)
-		stats, err := r.engine.RunChain(rp.Jobs)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := rp.ReadResult(r.dfs)
-		if err != nil {
-			return nil, err
-		}
-		rp.Record(cfg.reuse, r.dfs, stats)
-		return &Result{Schema: t.OutputSchema, Rows: rows, Stats: stats, Reuse: rp}, nil
 	}
-	stats, err := r.engine.RunChain(t.Jobs)
+	rows, stats, rp, err := translator.Execute(context.TODO(), r.engine, t, cfg.reuse, nil)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := t.ReadResult(r.dfs)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Schema: t.OutputSchema, Rows: rows, Stats: stats}, nil
+	return &Result{Schema: t.OutputSchema, Rows: rows, Stats: stats, Reuse: rp}, nil
 }
 
 // ---------------------------------------------------------------------------

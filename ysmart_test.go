@@ -45,6 +45,9 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if res.Stats.TotalTime() <= 0 {
 		t.Error("stats missing")
 	}
+	if res.Reuse != nil {
+		t.Error("Result.Reuse is set on a run without WithReuse")
+	}
 
 	// The MapReduce result must match the oracle.
 	oracle, err := ysmart.OracleResult(q, cat, clicks)
