@@ -154,29 +154,47 @@ func BenchmarkTranslateQ21(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineQAGG measures end-to-end engine execution of the simple
-// aggregation on the default click data.
+// BenchmarkEngineQAGG measures engine execution of the simple aggregation
+// on the default click data, with the tables loaded before the timer
+// starts.
 func BenchmarkEngineQAGG(b *testing.B) {
-	q, err := ysmart.Parse(ysmart.WorkloadQueries()["Q-AGG"], ysmart.WorkloadCatalog())
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := q.Translate(ysmart.YSmart, ysmart.Options{QueryName: "bench-qagg"})
-	if err != nil {
-		b.Fatal(err)
-	}
 	clicks, err := ysmart.GenerateClicks(ysmart.DefaultClicks())
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchEngine(b, "Q-AGG", clicks)
+}
+
+// BenchmarkEngineQ21 measures engine execution of the query with the most
+// merging on the default TPC-H data, tables preloaded.
+func BenchmarkEngineQ21(b *testing.B) {
+	tpch, err := ysmart.GenerateTPCH(ysmart.DefaultTPCH())
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEngine(b, "Q21", tpch)
+}
+
+// benchEngine times repeated runs of one workload query's YSmart
+// translation on a runtime whose tables are loaded once, up front.
+func benchEngine(b *testing.B, query string, tables map[string][]ysmart.Row) {
+	b.Helper()
+	q, err := ysmart.Parse(ysmart.WorkloadQueries()[query], ysmart.WorkloadCatalog())
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := q.Translate(ysmart.YSmart, ysmart.Options{QueryName: "bench-" + query})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt, err := ysmart.NewRuntime(ysmart.SmallCluster())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt.LoadTables(tables)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt, err := ysmart.NewRuntime(ysmart.SmallCluster())
-		if err != nil {
-			b.Fatal(err)
-		}
-		rt.LoadTables(clicks)
 		if _, err := rt.Run(tr); err != nil {
 			b.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package cmf
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"ysmart/internal/exec"
@@ -24,14 +25,13 @@ type CommonInput struct {
 	// decode for base tables, or a tag-stripping decode for intermediate
 	// files written by earlier common jobs).
 	Decode func(line string) (exec.Row, error)
-	// Key computes the partition-key values of a row. All streams of an
-	// input share the key — that is precisely the transit-correlation
-	// condition that allowed the merge.
-	Key func(exec.Row) ([]exec.Value, error)
-	// KeyEncode overrides the default injective key encoding. Distributed
-	// sort jobs use exec.EncodeOrderedKey so key byte-order equals value
-	// order; such keys are opaque (see CommonJob.OpaqueKeys).
-	KeyEncode func([]exec.Value) string
+	// Key computes the encoded partition key of a row: normally
+	// exec.EncodeKey of the key values, or exec.EncodeOrderedKey for
+	// distributed sorts, whose key byte-order must equal value order (such
+	// keys are opaque; see CommonJob.OpaqueKeys). All streams of an input
+	// share the key — that is precisely the transit-correlation condition
+	// that allowed the merge.
+	Key func(exec.Row) (string, error)
 	// Project reduces the decoded row to the union of the columns any
 	// stream needs; nil keeps the whole row.
 	Project func(exec.Row) exec.Row
@@ -95,7 +95,11 @@ func (cj *CommonJob) Build() (*mapreduce.Job, error) {
 			Mapper: commonMapper(idx, in),
 		})
 	}
-	job.Reducer = &commonReducer{cj: cj}
+	g, err := compileGraph(cj)
+	if err != nil {
+		return nil, fmt.Errorf("common job %s: %w", cj.Name, err)
+	}
+	job.Reducer = &commonReducer{g: g}
 
 	if cj.CombineOp != "" {
 		comb, err := cj.buildCombiner()
@@ -180,7 +184,8 @@ func commonMapper(inputIdx int, in CommonInput) mapreduce.Mapper {
 		if row == nil {
 			return nil // decoder filtered the line (e.g. foreign tag)
 		}
-		var excluded []int
+		var exclBuf [8]int
+		excluded := exclBuf[:0]
 		matched := 0
 		for _, st := range in.Streams {
 			ok := true
@@ -199,7 +204,7 @@ func commonMapper(inputIdx int, in CommonInput) mapreduce.Mapper {
 		if matched == 0 {
 			return nil
 		}
-		keyVals, err := in.Key(row)
+		key, err := in.Key(row)
 		if err != nil {
 			return err
 		}
@@ -207,11 +212,7 @@ func commonMapper(inputIdx int, in CommonInput) mapreduce.Mapper {
 		if in.Project != nil {
 			common = in.Project(row)
 		}
-		encode := in.KeyEncode
-		if encode == nil {
-			encode = exec.EncodeKey
-		}
-		emit(encode(keyVals), EncodeTagged(inputIdx, excluded, common))
+		emit(key, EncodeTagged(inputIdx, excluded, common))
 		return nil
 	})
 }
@@ -223,7 +224,7 @@ func commonMapper(inputIdx int, in CommonInput) mapreduce.Mapper {
 // reducer's real computation (the paper's §VII.C observation that merged
 // reduce phases "execute more lines of code").
 type commonReducer struct {
-	cj *CommonJob
+	g *graph // compiled by Build; read-only
 	// mu guards the accounting below. Reduce itself is pure per key group —
 	// the operator graph evaluates on stack-local state — so the engine may
 	// run key groups concurrently (see ConcurrentReduce); only the counter
@@ -231,10 +232,11 @@ type commonReducer struct {
 	// worker count.
 	mu   sync.Mutex
 	work int64
-	// dispatch accumulates cumulative per-operator row counts across all key
-	// groups; the engine snapshots it around a job to report the per-job
-	// delta (see mapreduce.DispatchReporter).
-	dispatch map[string]*mapreduce.OpDispatch
+	// inRows/outRows accumulate per-operator row counts (indexed like g.ops)
+	// across all key groups; the engine snapshots them around a job to
+	// report the per-job delta (see mapreduce.DispatchReporter). Both stay
+	// nil until the first key group.
+	inRows, outRows []int64
 }
 
 // ConcurrentReduce implements mapreduce.ConcurrentReducer: key groups are
@@ -243,41 +245,32 @@ func (cr *commonReducer) ConcurrentReduce() {}
 
 // Reduce implements mapreduce.Reducer.
 func (cr *commonReducer) Reduce(key string, values []string, emit func(string)) error {
-	cj := cr.cj
-	var keyRow exec.Row
-	if !cj.OpaqueKeys {
-		var err error
-		keyRow, err = exec.DecodeRowUntyped(key)
-		if err != nil {
-			return err
-		}
-	}
-	streams := make(map[int][]exec.Row)
-	for _, v := range values {
-		tv, err := DecodeTagged(v)
-		if err != nil {
-			return err
-		}
-		if tv.Input < 0 || tv.Input >= len(cj.Inputs) {
-			return fmt.Errorf("value references input %d of %d", tv.Input, len(cj.Inputs))
-		}
-		for _, st := range cj.Inputs[tv.Input].Streams {
-			if tv.Sees(st.ID) {
-				streams[st.ID] = append(streams[st.ID], tv.Row)
-			}
-		}
-	}
-	results, stats, err := evalGraph(cj.Ops, keyRow, streams)
+	g := cr.g
+	sc, err := g.bucket(key, values)
 	if err != nil {
 		return err
 	}
+	var small [32]int64
+	counts := small[:0]
+	if 2*len(g.ops) > len(small) {
+		counts = make([]int64, 0, 2*len(g.ops))
+	}
+	counts = counts[:2*len(g.ops)]
+	if err := g.eval(sc, counts); err != nil {
+		return err
+	}
 	cr.mu.Lock()
-	cr.work += stats.Work
-	cr.record(stats)
+	cr.record(counts)
 	cr.mu.Unlock()
-	for _, out := range cj.Outputs {
-		for _, r := range results[out.Op] {
-			emit(TagLine(out.Tag, exec.EncodeRow(r)))
+	var lineBuf [256]byte
+	for _, out := range g.outputs {
+		for _, r := range sc.results[out.op] {
+			line := lineBuf[:0]
+			if out.tag != "" {
+				line = append(line, out.tag...)
+				line = append(line, outputTagSep...)
+			}
+			emit(string(exec.AppendRow(line, r)))
 		}
 	}
 	return nil
@@ -290,21 +283,19 @@ func (cr *commonReducer) ReduceWork() int64 {
 	return cr.work
 }
 
-// record folds one key group's per-operator accounting into the cumulative
-// dispatch counts. The caller holds cr.mu.
-func (cr *commonReducer) record(stats evalStats) {
-	if cr.dispatch == nil {
-		cr.dispatch = make(map[string]*mapreduce.OpDispatch, len(cr.cj.Ops))
+// record folds one key group's per-operator counts (see graph.eval) into
+// the cumulative totals. The caller holds cr.mu.
+func (cr *commonReducer) record(counts []int64) {
+	if cr.inRows == nil {
+		cr.inRows = make([]int64, len(cr.g.ops))
+		cr.outRows = make([]int64, len(cr.g.ops))
 	}
-	for _, op := range cr.cj.Ops {
-		name := op.Name()
-		d, ok := cr.dispatch[name]
-		if !ok {
-			d = &mapreduce.OpDispatch{Op: name}
-			cr.dispatch[name] = d
+	for i := range cr.g.ops {
+		cr.inRows[i] += counts[2*i]
+		cr.outRows[i] += counts[2*i+1]
+		if cr.g.relational[i] {
+			cr.work += counts[2*i]
 		}
-		d.InRows += stats.InRows[name]
-		d.OutRows += stats.OutRows[name]
 	}
 }
 
@@ -313,9 +304,9 @@ func (cr *commonReducer) record(stats evalStats) {
 func (cr *commonReducer) DispatchCounts() []mapreduce.OpDispatch {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
-	out := make([]mapreduce.OpDispatch, 0, len(cr.dispatch))
-	for _, d := range cr.dispatch {
-		out = append(out, *d)
+	out := make([]mapreduce.OpDispatch, 0, len(cr.inRows))
+	for i := range cr.inRows {
+		out = append(out, mapreduce.OpDispatch{Op: cr.g.ops[i].Name(), InRows: cr.inRows[i], OutRows: cr.outRows[i]})
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].Op < out[k].Op })
 	return out
@@ -357,13 +348,17 @@ func (cj *CommonJob) buildCombiner() (mapreduce.Combiner, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows := make([]exec.Row, 0, len(values))
-		for _, v := range values {
-			tv, err := DecodeTagged(v)
+		rows := make([]exec.Row, len(values))
+		var slab exec.Row
+		if len(values) > 0 {
+			slab = make(exec.Row, 0, len(values)*(strings.Count(values[0], "\t")+1))
+		}
+		for i, v := range values {
+			tv, rest, err := decodeTagged(slab, v)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, tv.Row)
+			rows[i], slab = tv.Row, rest
 		}
 		partial, err := buildPartialRow(groupVals, agg.Aggs, rows)
 		if err != nil {

@@ -21,13 +21,13 @@ func decodeClicks(line string) (exec.Row, error) {
 	return exec.DecodeRow(line, clicksSchema)
 }
 
-func keyOn(idx ...int) func(exec.Row) ([]exec.Value, error) {
-	return func(r exec.Row) ([]exec.Value, error) {
+func keyOn(idx ...int) func(exec.Row) (string, error) {
+	return func(r exec.Row) (string, error) {
 		out := make([]exec.Value, len(idx))
 		for i, x := range idx {
 			out[i] = r[x]
 		}
-		return out, nil
+		return exec.EncodeKey(out), nil
 	}
 }
 
@@ -414,7 +414,7 @@ func TestGlobalAggregationJob(t *testing.T) {
 		Inputs: []CommonInput{{
 			Path:    "in",
 			Decode:  func(l string) (exec.Row, error) { return exec.DecodeRow(l, schema) },
-			Key:     func(exec.Row) ([]exec.Value, error) { return nil, nil },
+			Key:     func(exec.Row) (string, error) { return "", nil },
 			Streams: []Stream{{ID: 0}},
 		}},
 		Ops: []Op{&AggOp{

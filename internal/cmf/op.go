@@ -1,7 +1,9 @@
 package cmf
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ysmart/internal/exec"
@@ -80,42 +82,70 @@ func (j *JoinOp) Name() string { return j.OpName }
 // Sources implements Op.
 func (j *JoinOp) Sources() []Source { return []Source{j.Left, j.Right} }
 
-// Eval implements Op.
+// Eval implements Op. Each candidate pair is built in the slab's free
+// space and handed back when the residual rejects it, so only matching
+// pairs (and outer-join padding) consume memory.
 func (j *JoinOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 	left := projectRows(inputs[0], j.LeftProj, !j.Left.IsOp())
 	right := projectRows(inputs[1], j.RightProj, !j.Right.IsOp())
 
-	var out []exec.Row
-	rightMatched := make([]bool, len(right))
+	// Without a residual every pair matches; with one, expect about one
+	// match per row of the larger side.
+	expect := len(left) * len(right)
+	if j.Residual != nil {
+		expect = max(len(left), len(right))
+	}
+	out := make([]exec.Row, 0, expect)
+	slab := newRowSlab(expect * (j.LeftWidth + j.RightWidth))
+	keepRight := j.Type == sqlparser.RightOuterJoin || j.Type == sqlparser.FullOuterJoin
+	var rightMatched []bool
+	if keepRight {
+		rightMatched = make([]bool, len(right))
+	}
 	for _, l := range left {
 		matched := false
 		for ri, r := range right {
-			pair := exec.Concat(l, r)
+			pair := slab.row(len(l) + len(r))
+			copy(pair[copy(pair, l):], r)
 			if j.Residual != nil {
 				ok, err := j.Residual(pair)
 				if err != nil {
 					return nil, fmt.Errorf("join %s residual: %w", j.OpName, err)
 				}
 				if !ok {
+					slab.release(len(pair))
 					continue
 				}
 			}
 			matched = true
-			rightMatched[ri] = true
+			if keepRight {
+				rightMatched[ri] = true
+			}
 			out = append(out, pair)
 		}
 		if !matched && (j.Type == sqlparser.LeftOuterJoin || j.Type == sqlparser.FullOuterJoin) {
-			out = append(out, exec.Concat(l, exec.NullRow(j.RightWidth)))
+			pair := slab.row(len(l) + j.RightWidth)
+			fillNull(pair[copy(pair, l):])
+			out = append(out, pair)
 		}
 	}
-	if j.Type == sqlparser.RightOuterJoin || j.Type == sqlparser.FullOuterJoin {
+	if keepRight {
 		for ri, r := range right {
 			if !rightMatched[ri] {
-				out = append(out, exec.Concat(exec.NullRow(j.LeftWidth), r))
+				pair := slab.row(j.LeftWidth + len(r))
+				fillNull(pair[:j.LeftWidth])
+				copy(pair[j.LeftWidth:], r)
+				out = append(out, pair)
 			}
 		}
 	}
 	return out, nil
+}
+
+func fillNull(r exec.Row) {
+	for i := range r {
+		r[i] = exec.Null()
+	}
 }
 
 func projectRows(rows []exec.Row, proj []int, apply bool) []exec.Row {
@@ -123,8 +153,9 @@ func projectRows(rows []exec.Row, proj []int, apply bool) []exec.Row {
 		return rows
 	}
 	out := make([]exec.Row, len(rows))
+	slab := newRowSlab(len(rows) * len(proj))
 	for i, r := range rows {
-		pr := make(exec.Row, len(proj))
+		pr := slab.row(len(proj))
 		for pi, idx := range proj {
 			pr[pi] = r[idx]
 		}
@@ -132,6 +163,33 @@ func projectRows(rows []exec.Row, proj []int, apply bool) []exec.Row {
 	}
 	return out
 }
+
+// rowSlab cuts rows out of shared backing arrays, so a batch of rows costs
+// a few allocations instead of one per row. A cut row keeps its array when
+// the slab moves on to a fresh one, and its capacity ends at its length,
+// so appending to it cannot clobber a neighbour.
+type rowSlab struct {
+	buf  exec.Row
+	next int // capacity of the next backing array
+}
+
+// newRowSlab returns a slab whose first backing array holds size values.
+func newRowSlab(size int) rowSlab { return rowSlab{next: size} }
+
+// row cuts an n-value row off the slab.
+func (s *rowSlab) row(n int) exec.Row {
+	if cap(s.buf)-len(s.buf) < n {
+		size := max(s.next, n, 16)
+		s.buf = make(exec.Row, 0, size)
+		s.next = 2 * size
+	}
+	start := len(s.buf)
+	s.buf = s.buf[:start+n]
+	return s.buf[start : start+n : start+n]
+}
+
+// release hands back the most recently cut row, of n values.
+func (s *rowSlab) release(n int) { s.buf = s.buf[:len(s.buf)-n] }
 
 // ---------------------------------------------------------------------------
 // AggOp
@@ -168,69 +226,125 @@ func (a *AggOp) Name() string { return a.OpName }
 // Sources implements Op.
 func (a *AggOp) Sources() []Source { return []Source{a.In} }
 
-// Eval implements Op.
+// linearGroups is how many groups an AggOp finds by scanning before it
+// indexes them in a map; most key groups hold a single group.
+const linearGroups = 8
+
+// Eval implements Op. Group keys are rendered into a reused buffer and
+// kept back to back in one byte slice; a group's output row and
+// accumulators are allocated only when the group is first seen.
 func (a *AggOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 	rows := projectRows(inputs[0], a.InProj, !a.In.IsOp())
 	if a.FromPartials {
 		return a.evalFromPartials(rows)
 	}
 
+	// A group's row holds its group values, then (once the input is
+	// consumed) its aggregate results; its key is keys[keyStart:keyEnd].
 	type group struct {
-		vals exec.Row
-		accs []exec.Accumulator
+		row              exec.Row
+		keyStart, keyEnd int
 	}
-	groups := make(map[string]*group)
-	var order []string
+	var (
+		groupBuf [linearGroups]group
+		keyStore [256]byte
+		accBuf   [2 * linearGroups]exec.Accumulator
+		keyBuf   [64]byte
+	)
+	groups, keys, accs := groupBuf[:0], keyStore[:0], accBuf[:0]
+	var index map[string]int
+	nGroup := len(a.GroupBy)
+	width := nGroup + len(a.Aggs)
+	slab := newRowSlab(width)
 	for _, r := range rows {
-		gvals := make(exec.Row, len(a.GroupBy))
+		// Evaluate the group values straight into a candidate output row,
+		// handed back to the slab when the group already exists.
+		vals := slab.row(width)
+		key := keyBuf[:0]
 		for i, fn := range a.GroupBy {
 			v, err := fn(r)
 			if err != nil {
 				return nil, fmt.Errorf("agg %s group: %w", a.OpName, err)
 			}
-			gvals[i] = v
-		}
-		key := exec.EncodeKey(gvals)
-		g, ok := groups[key]
-		if !ok {
-			g = &group{vals: gvals, accs: make([]exec.Accumulator, len(a.Aggs))}
-			for i, spec := range a.Aggs {
-				g.accs[i] = exec.NewAccumulator(spec.Kind)
+			vals[i] = v
+			if i > 0 {
+				key = append(key, '\t')
 			}
-			groups[key] = g
-			order = append(order, key)
+			key = exec.AppendField(key, v)
 		}
+		gi := -1
+		if index != nil {
+			if i, ok := index[string(key)]; ok {
+				gi = i
+			}
+		} else {
+			for i, g := range groups {
+				if string(keys[g.keyStart:g.keyEnd]) == string(key) {
+					gi = i
+					break
+				}
+			}
+		}
+		if gi >= 0 {
+			slab.release(width)
+		} else {
+			gi = len(groups)
+			groups = append(groups, group{row: vals, keyStart: len(keys), keyEnd: len(keys) + len(key)})
+			keys = append(keys, key...)
+			for _, spec := range a.Aggs {
+				accs = append(accs, exec.NewAccumulator(spec.Kind))
+			}
+			if index != nil {
+				index[string(key)] = gi
+			} else if len(groups) > linearGroups {
+				index = make(map[string]int, 2*len(groups))
+				for i, g := range groups {
+					index[string(keys[g.keyStart:g.keyEnd])] = i
+				}
+			}
+		}
+		gaccs := accs[gi*len(a.Aggs) : (gi+1)*len(a.Aggs)]
 		for i, spec := range a.Aggs {
 			if spec.Arg == nil {
-				g.accs[i].Add(exec.Int(1))
+				gaccs[i].Add(exec.Int(1))
 				continue
 			}
 			v, err := spec.Arg(r)
 			if err != nil {
 				return nil, fmt.Errorf("agg %s arg: %w", a.OpName, err)
 			}
-			g.accs[i].Add(v)
+			gaccs[i].Add(v)
 		}
 	}
 	// A global aggregate over zero rows still yields one row (SQL
 	// semantics); grouped aggregates yield no rows.
-	if len(order) == 0 && len(a.GroupBy) == 0 {
+	if len(groups) == 0 && nGroup == 0 {
 		out := make(exec.Row, len(a.Aggs))
 		for i, spec := range a.Aggs {
 			out[i] = exec.NewAccumulator(spec.Kind).Result()
 		}
 		return []exec.Row{out}, nil
 	}
-	sort.Strings(order)
-	out := make([]exec.Row, 0, len(order))
-	for _, key := range order {
-		g := groups[key]
-		row := make(exec.Row, 0, len(g.vals)+len(g.accs))
-		row = append(row, g.vals...)
-		for _, acc := range g.accs {
-			row = append(row, acc.Result())
+	out := make([]exec.Row, len(groups))
+	for gi, g := range groups {
+		for i, acc := range accs[gi*len(a.Aggs) : (gi+1)*len(a.Aggs)] {
+			g.row[nGroup+i] = acc.Result()
 		}
-		out = append(out, row)
+		out[gi] = g.row
+	}
+	if len(groups) > 1 {
+		order := make([]int, len(groups))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order, func(x, y int) int {
+			return bytes.Compare(keys[groups[x].keyStart:groups[x].keyEnd], keys[groups[y].keyStart:groups[y].keyEnd])
+		})
+		sorted := make([]exec.Row, len(order))
+		for i, gi := range order {
+			sorted[i] = out[gi]
+		}
+		out = sorted
 	}
 	return out, nil
 }
@@ -289,7 +403,7 @@ func (f *FilterOp) Sources() []Source { return []Source{f.In} }
 // Eval implements Op.
 func (f *FilterOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 	rows := projectRows(inputs[0], f.InProj, !f.In.IsOp())
-	var out []exec.Row
+	out := make([]exec.Row, 0, len(rows))
 	for _, r := range rows {
 		ok, err := f.Pred(r)
 		if err != nil {
@@ -320,8 +434,9 @@ func (p *ProjectOp) Sources() []Source { return []Source{p.In} }
 func (p *ProjectOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 	rows := projectRows(inputs[0], p.InProj, !p.In.IsOp())
 	out := make([]exec.Row, 0, len(rows))
+	slab := newRowSlab(len(rows) * len(p.Exprs))
 	for _, r := range rows {
-		pr := make(exec.Row, len(p.Exprs))
+		pr := slab.row(len(p.Exprs))
 		for i, fn := range p.Exprs {
 			v, err := fn(r)
 			if err != nil {
@@ -347,7 +462,8 @@ type SortOp struct {
 	In     Source
 	InProj []int
 	Keys   []SortKey
-	// Limit keeps only the first Limit rows after sorting (0 = all).
+	// Limit keeps only the first Limit rows after sorting; a negative
+	// Limit keeps them all.
 	Limit int
 }
 
@@ -389,91 +505,8 @@ func (s *SortOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 	if evalErr != nil {
 		return nil, fmt.Errorf("sort %s: %w", s.OpName, evalErr)
 	}
-	if s.Limit > 0 && len(out) > s.Limit {
+	if s.Limit >= 0 && len(out) > s.Limit {
 		out = out[:s.Limit]
 	}
 	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// Graph evaluation
-// ---------------------------------------------------------------------------
-
-// evalStats is the accounting of one evalGraph invocation: the billable
-// work (rows consumed by relational operators — the quantity the cost model
-// charges for the common reducer "executing more lines of code" than a
-// single-operation reducer, paper §VII.C) plus per-operator in/out row
-// counts the observability layer reports as dispatch counts.
-type evalStats struct {
-	Work    int64
-	InRows  map[string]int64
-	OutRows map[string]int64
-}
-
-// evalGraph runs the operators over one key group. streams maps stream ID
-// to its rows. It returns each operator's result rows by name plus the
-// invocation's accounting.
-func evalGraph(ops []Op, key exec.Row, streams map[int][]exec.Row) (map[string][]exec.Row, evalStats, error) {
-	stats := evalStats{
-		InRows:  make(map[string]int64, len(ops)),
-		OutRows: make(map[string]int64, len(ops)),
-	}
-	byName := make(map[string]Op, len(ops))
-	for _, op := range ops {
-		if _, dup := byName[op.Name()]; dup {
-			return nil, stats, fmt.Errorf("duplicate op %q", op.Name())
-		}
-		byName[op.Name()] = op
-	}
-	results := make(map[string][]exec.Row, len(ops))
-	state := make(map[string]int, len(ops)) // 1 visiting, 2 done
-
-	var eval func(name string) error
-	eval = func(name string) error {
-		switch state[name] {
-		case 2:
-			return nil
-		case 1:
-			return fmt.Errorf("op cycle through %q", name)
-		}
-		op, ok := byName[name]
-		if !ok {
-			return fmt.Errorf("unknown op %q", name)
-		}
-		state[name] = 1
-		srcs := op.Sources()
-		inputs := make([][]exec.Row, len(srcs))
-		for i, s := range srcs {
-			if s.IsOp() {
-				if err := eval(s.Op); err != nil {
-					return err
-				}
-				inputs[i] = results[s.Op]
-			} else {
-				inputs[i] = streams[s.Stream]
-			}
-			stats.InRows[name] += int64(len(inputs[i]))
-			// Only relational operators count as work: chain filters and
-			// projections are the column-level plumbing a one-to-one
-			// translation runs (uncounted) in its map phases.
-			switch op.(type) {
-			case *JoinOp, *AggOp, *SortOp:
-				stats.Work += int64(len(inputs[i]))
-			}
-		}
-		rows, err := op.Eval(key, inputs)
-		if err != nil {
-			return err
-		}
-		results[op.Name()] = rows
-		stats.OutRows[name] += int64(len(rows))
-		state[name] = 2
-		return nil
-	}
-	for _, op := range ops {
-		if err := eval(op.Name()); err != nil {
-			return nil, stats, err
-		}
-	}
-	return results, stats, nil
 }

@@ -1,6 +1,7 @@
 package cmf
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -227,14 +228,29 @@ func TestFilterProjectSortOps(t *testing.T) {
 	}
 	sortOp := &SortOp{
 		OpName: "s", In: OpSource("p"),
-		Keys: []SortKey{{Fn: col(0), Desc: true}},
+		Keys:  []SortKey{{Fn: col(0), Desc: true}},
+		Limit: -1,
 	}
-	streams := map[int][]exec.Row{
-		0: {intRow(1, 100), intRow(2, 300), intRow(3, 200)},
-	}
-	results, _, err := evalGraph([]Op{filter, project, sortOp}, nil, streams)
+	// Ops listed out of dependency order: compilation must reorder them.
+	g, err := compileGraph(graphJob(sortOp, project, filter))
 	if err != nil {
 		t.Fatal(err)
+	}
+	var values []string
+	for _, r := range []exec.Row{intRow(1, 100), intRow(2, 300), intRow(3, 200)} {
+		values = append(values, EncodeTagged(0, nil, r))
+	}
+	sc, err := g.bucket("", values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int64, 2*len(g.ops))
+	if err := g.eval(sc, counts); err != nil {
+		t.Fatal(err)
+	}
+	results := make(map[string][]exec.Row)
+	for i, op := range g.ops {
+		results[op.Name()] = sc.results[i]
 	}
 	if len(results["f"]) != 2 {
 		t.Errorf("filter = %v", results["f"])
@@ -242,6 +258,26 @@ func TestFilterProjectSortOps(t *testing.T) {
 	s := results["s"]
 	if len(s) != 2 || s[0][0].I != 300 || s[1][0].I != 200 {
 		t.Errorf("sorted = %v, want [[300 20] [200 30]]", s)
+	}
+	// Rows in, rows out per op in evaluation order f, p, s.
+	if want := []int64{3, 2, 2, 2, 2, 2}; !slices.Equal(counts, want) {
+		t.Errorf("counts = %v, want %v", counts, want)
+	}
+}
+
+// graphJob wraps ops in a minimal valid common job reading stream 0 and
+// writing the first op.
+func graphJob(ops ...Op) *CommonJob {
+	return &CommonJob{
+		Name: "g",
+		Inputs: []CommonInput{{
+			Path: "p", Decode: exec.DecodeRowUntyped,
+			Key:     func(exec.Row) (string, error) { return "", nil },
+			Streams: []Stream{{ID: 0}},
+		}},
+		Ops:     ops,
+		Outputs: []OutputSpec{{Op: ops[0].Name()}},
+		Output:  "o",
 	}
 }
 
@@ -258,25 +294,35 @@ func TestSortOpLimit(t *testing.T) {
 	if len(out) != 2 || out[0][0].I != 1 || out[1][0].I != 2 {
 		t.Errorf("limited sort = %v", out)
 	}
+	// LIMIT 0 keeps nothing; a negative limit means no LIMIT.
+	for limit, want := range map[int]int{0: 0, -1: 3} {
+		s.Limit = limit
+		out, err := s.Eval(nil, [][]exec.Row{{intRow(3), intRow(1), intRow(2)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != want {
+			t.Errorf("Limit %d: %d rows, want %d", limit, len(out), want)
+		}
+	}
 }
 
-func TestEvalGraphErrors(t *testing.T) {
+func TestBuildGraphErrors(t *testing.T) {
+	pass := func(exec.Row) (bool, error) { return true, nil }
 	// Unknown op source.
-	_, _, err := evalGraph([]Op{
-		&FilterOp{OpName: "f", In: OpSource("missing"), Pred: func(exec.Row) (bool, error) { return true, nil }},
-	}, nil, nil)
+	_, err := graphJob(&FilterOp{OpName: "f", In: OpSource("missing"), Pred: pass}).Build()
 	if err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Errorf("err = %v, want unknown op", err)
 	}
 	// Cycle.
-	a := &FilterOp{OpName: "a", In: OpSource("b"), Pred: func(exec.Row) (bool, error) { return true, nil }}
-	b := &FilterOp{OpName: "b", In: OpSource("a"), Pred: func(exec.Row) (bool, error) { return true, nil }}
-	_, _, err = evalGraph([]Op{a, b}, nil, nil)
+	a := &FilterOp{OpName: "a", In: OpSource("b"), Pred: pass}
+	b := &FilterOp{OpName: "b", In: OpSource("a"), Pred: pass}
+	_, err = graphJob(a, b).Build()
 	if err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("err = %v, want cycle", err)
 	}
 	// Duplicate names.
-	_, _, err = evalGraph([]Op{a, a}, nil, nil)
+	_, err = graphJob(a, a).Build()
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("err = %v, want duplicate", err)
 	}

@@ -38,53 +38,59 @@ type TaggedValue struct {
 // exclusion list is omitted when empty, so the common case costs two bytes
 // of overhead ("0|").
 func EncodeTagged(input int, excluded []int, row exec.Row) string {
-	var sb strings.Builder
-	sb.WriteString(strconv.Itoa(input))
-	if len(excluded) > 0 {
-		sb.WriteByte('!')
-		for i, id := range excluded {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(strconv.Itoa(id))
+	var buf [128]byte
+	return string(appendTagged(buf[:0], input, excluded, row))
+}
+
+// appendTagged appends the EncodeTagged rendering to dst.
+func appendTagged(dst []byte, input int, excluded []int, row exec.Row) []byte {
+	dst = strconv.AppendInt(dst, int64(input), 10)
+	for i, id := range excluded {
+		if i == 0 {
+			dst = append(dst, '!')
+		} else {
+			dst = append(dst, ',')
 		}
+		dst = strconv.AppendInt(dst, int64(id), 10)
 	}
-	sb.WriteByte('|')
-	sb.WriteString(exec.EncodeRow(row))
-	return sb.String()
+	dst = append(dst, '|')
+	return exec.AppendRow(dst, row)
 }
 
 // DecodeTagged parses a tagged value produced by EncodeTagged.
 func DecodeTagged(s string) (TaggedValue, error) {
+	tv, _, err := decodeTagged(make(exec.Row, 0, strings.Count(s, "\t")+1), s)
+	return tv, err
+}
+
+// decodeTagged parses tagged value s, appending its row's fields to slab
+// so that a key group's rows can share one backing array. It returns the
+// value, whose Row is the appended tail, and the extended slab.
+func decodeTagged(slab exec.Row, s string) (TaggedValue, exec.Row, error) {
 	sep := strings.IndexByte(s, '|')
 	if sep < 0 {
-		return TaggedValue{}, fmt.Errorf("tagged value %q has no separator", s)
+		return TaggedValue{}, slab, fmt.Errorf("tagged value %q has no separator", s)
 	}
-	head := s[:sep]
-	var exclPart string
-	if bang := strings.IndexByte(head, '!'); bang >= 0 {
-		exclPart = head[bang+1:]
-		head = head[:bang]
-	}
+	head, excl, _ := strings.Cut(s[:sep], "!")
 	input, err := strconv.Atoi(head)
 	if err != nil {
-		return TaggedValue{}, fmt.Errorf("tagged value %q: bad input index %q", s, head)
+		return TaggedValue{}, slab, fmt.Errorf("tagged value %q: bad input index %q", s, head)
 	}
 	var excluded []int
-	if exclPart != "" {
-		for _, part := range strings.Split(exclPart, ",") {
-			id, err := strconv.Atoi(part)
-			if err != nil {
-				return TaggedValue{}, fmt.Errorf("tagged value %q: bad stream id %q", s, part)
-			}
-			excluded = append(excluded, id)
+	for part, rest, more := "", excl, excl != ""; more; {
+		part, rest, more = strings.Cut(rest, ",")
+		id, err := strconv.Atoi(part)
+		if err != nil {
+			return TaggedValue{}, slab, fmt.Errorf("tagged value %q: bad stream id %q", s, part)
 		}
+		excluded = append(excluded, id)
 	}
-	row, err := exec.DecodeRowUntyped(s[sep+1:])
+	start := len(slab)
+	slab, err = exec.AppendRowUntyped(slab, s[sep+1:])
 	if err != nil {
-		return TaggedValue{}, fmt.Errorf("tagged value %q: %w", s, err)
+		return TaggedValue{}, slab, fmt.Errorf("tagged value %q: %w", s, err)
 	}
-	return TaggedValue{Input: input, Excluded: excluded, Row: row}, nil
+	return TaggedValue{Input: input, Excluded: excluded, Row: slab[start:len(slab):len(slab)]}, slab, nil
 }
 
 // Sees reports whether stream id may see the value. The caller must already

@@ -128,7 +128,11 @@ func (a *countDistinctAcc) Add(v Value) {
 	if v.IsNull() {
 		return
 	}
-	a.seen[EncodeField(v)] = struct{}{}
+	var buf [64]byte
+	k := AppendField(buf[:0], v)
+	if _, dup := a.seen[string(k)]; !dup {
+		a.seen[string(k)] = struct{}{}
+	}
 }
 func (a *countDistinctAcc) Result() Value { return Int(int64(len(a.seen))) }
 

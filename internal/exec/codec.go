@@ -16,50 +16,74 @@ const nullField = `\N`
 
 // EncodeField renders a single value as a codec field.
 func EncodeField(v Value) string {
+	if v.T == TypeString && !needsEscape(v.S) {
+		return v.S
+	}
+	var buf [64]byte
+	return string(AppendField(buf[:0], v))
+}
+
+// AppendField appends the codec rendering of v to dst and returns the
+// extended buffer.
+func AppendField(dst []byte, v Value) []byte {
 	switch v.T {
 	case TypeNull:
-		return nullField
+		return append(dst, nullField...)
 	case TypeInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(dst, v.I, 10)
 	case TypeFloat:
-		s := strconv.FormatFloat(v.F, 'g', -1, 64)
-		if !strings.ContainsAny(s, ".eE") && !strings.Contains(s, "Inf") && s != "NaN" {
-			s += ".0"
+		start := len(dst)
+		dst = strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+		if bareInteger(dst[start:]) {
+			dst = append(dst, ".0"...)
 		}
-		return s
+		return dst
 	case TypeString:
-		return escapeString(v.S)
+		return appendEscaped(dst, v.S)
 	case TypeBool:
 		if v.B {
-			return "true"
+			return append(dst, "true"...)
 		}
-		return "false"
+		return append(dst, "false"...)
 	default:
-		return nullField
+		return append(dst, nullField...)
 	}
 }
 
-func escapeString(s string) string {
-	if !strings.ContainsAny(s, "\\\t\n\r") {
-		return s
-	}
-	var sb strings.Builder
-	sb.Grow(len(s) + 4)
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			sb.WriteString(`\\`)
-		case '\t':
-			sb.WriteString(`\t`)
-		case '\n':
-			sb.WriteString(`\n`)
-		case '\r':
-			sb.WriteString(`\r`)
-		default:
-			sb.WriteByte(s[i])
+// bareInteger reports whether a 'g'-formatted float reads as an integer:
+// no '.', no exponent, and not NaN or ±Inf.
+func bareInteger(b []byte) bool {
+	for _, c := range b {
+		if (c < '0' || c > '9') && c != '-' {
+			return false
 		}
 	}
-	return sb.String()
+	return true
+}
+
+func needsEscape(s string) bool { return strings.ContainsAny(s, "\\\t\n\r") }
+
+// appendEscaped appends s with tab, newline, carriage return and backslash
+// backslash-escaped.
+func appendEscaped(dst []byte, s string) []byte {
+	if !needsEscape(s) {
+		return append(dst, s...)
+	}
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '\\':
+			dst = append(dst, '\\', '\\')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
 func unescapeString(s string) (string, error) {
@@ -132,11 +156,14 @@ func DecodeField(field string, t Type) (Value, error) {
 		}
 		return Str(s), nil
 	case TypeNull:
-		// Untyped: infer from syntax.
-		if i, err := strconv.ParseInt(field, 10, 64); err == nil {
-			return Int(i), nil
+		// Untyped: infer from syntax. The syntax checks only skip parses
+		// that would fail, so a plain string costs no parse error.
+		if intSyntax(field) {
+			if i, err := strconv.ParseInt(field, 10, 64); err == nil {
+				return Int(i), nil
+			}
 		}
-		if strings.ContainsAny(field, ".eE") || strings.Contains(field, "Inf") || field == "NaN" {
+		if floatLead(field) && (strings.ContainsAny(field, ".eE") || strings.Contains(field, "Inf") || field == "NaN") {
 			if f, err := strconv.ParseFloat(field, 64); err == nil {
 				return Float(f), nil
 			}
@@ -157,35 +184,138 @@ func DecodeField(field string, t Type) (Value, error) {
 	}
 }
 
+// intSyntax reports whether s is an optionally signed run of decimal
+// digits: exactly the strings strconv.ParseInt(s, 10, 64) accepts, save
+// for out-of-range values.
+func intSyntax(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// floatLead reports whether s starts (after an optional sign) the way every
+// string strconv.ParseFloat accepts does: a digit, a '.', or the first
+// letter of "inf", "infinity" or "nan" in any case.
+func floatLead(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; {
+	case c >= '0' && c <= '9', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+		return true
+	}
+	return false
+}
+
 // EncodeRow renders a row as tab-separated fields.
 func EncodeRow(r Row) string {
-	if len(r) == 0 {
-		return ""
-	}
-	var sb strings.Builder
+	var buf [128]byte
+	return string(AppendRow(buf[:0], r))
+}
+
+// AppendRow appends the tab-separated rendering of r to dst and returns the
+// extended buffer.
+func AppendRow(dst []byte, r Row) []byte {
 	for i, v := range r {
 		if i > 0 {
-			sb.WriteByte('\t')
+			dst = append(dst, '\t')
 		}
-		sb.WriteString(EncodeField(v))
+		dst = AppendField(dst, v)
 	}
-	return sb.String()
+	return dst
+}
+
+// cutField splits the first tab-separated field off line.
+func cutField(line string) (field, rest string) {
+	if i := strings.IndexByte(line, '\t'); i >= 0 {
+		return line[:i], line[i+1:]
+	}
+	return line, ""
+}
+
+// decodeInto walks every field of line, parsing each with its schema
+// column's type, and stores column i at row[slot[i]] (slot nil: at row[i];
+// a negative slot: parsed and type-checked, then dropped). The field count
+// is checked before any field is parsed.
+func decodeInto(row Row, line string, s *Schema, slot []int) error {
+	if n := strings.Count(line, "\t") + 1; n != len(s.Cols) {
+		return fmt.Errorf("row has %d fields, schema %s has %d", n, s, len(s.Cols))
+	}
+	for i, c := range s.Cols {
+		var f string
+		f, line = cutField(line)
+		v, err := DecodeField(f, c.Type)
+		if err != nil {
+			return fmt.Errorf("column %s: %w", c.QualifiedName(), err)
+		}
+		switch {
+		case slot == nil:
+			row[i] = v
+		case slot[i] >= 0:
+			row[slot[i]] = v
+		}
+	}
+	return nil
 }
 
 // DecodeRow parses a tab-separated line into a row using the schema's
 // column types.
 func DecodeRow(line string, s *Schema) (Row, error) {
-	fields := strings.Split(line, "\t")
-	if len(fields) != len(s.Cols) {
-		return nil, fmt.Errorf("row has %d fields, schema %s has %d", len(fields), s, len(s.Cols))
+	row := make(Row, len(s.Cols))
+	if err := decodeInto(row, line, s, nil); err != nil {
+		return nil, err
 	}
-	row := make(Row, len(fields))
-	for i, f := range fields {
-		v, err := DecodeField(f, s.Cols[i].Type)
-		if err != nil {
-			return nil, fmt.Errorf("column %s: %w", s.Cols[i].QualifiedName(), err)
+	return row, nil
+}
+
+// ColumnDecoder decodes lines of one schema into rows holding only the
+// demanded columns. Every other field is still parsed and type-checked
+// (and then dropped), so a line DecodeRow rejects is rejected here with
+// the same error.
+type ColumnDecoder struct {
+	schema *Schema
+	width  int
+	slot   []int    // schema column -> first row position, or -1
+	copies [][2]int // (from, to) row positions of repeated demands
+}
+
+// NewColumnDecoder returns a decoder whose rows hold the columns cols of s,
+// in that order; a column may be demanded more than once.
+func NewColumnDecoder(s *Schema, cols []int) *ColumnDecoder {
+	d := &ColumnDecoder{schema: s, width: len(cols), slot: make([]int, len(s.Cols))}
+	for i := range d.slot {
+		d.slot[i] = -1
+	}
+	for pos, c := range cols {
+		if first := d.slot[c]; first >= 0 {
+			d.copies = append(d.copies, [2]int{first, pos})
+			continue
 		}
-		row[i] = v
+		d.slot[c] = pos
+	}
+	return d
+}
+
+// Decode parses one line into a row of the demanded columns.
+func (d *ColumnDecoder) Decode(line string) (Row, error) {
+	row := make(Row, d.width)
+	if err := decodeInto(row, line, d.schema, d.slot); err != nil {
+		return nil, err
+	}
+	for _, c := range d.copies {
+		row[c[1]] = row[c[0]]
 	}
 	return row, nil
 }
@@ -197,19 +327,34 @@ func DecodeRowUntyped(line string) (Row, error) {
 	if line == "" {
 		return Row{}, nil
 	}
-	fields := strings.Split(line, "\t")
-	row := make(Row, len(fields))
-	for i, f := range fields {
-		v, err := DecodeField(f, TypeNull)
-		if err != nil {
-			return nil, err
-		}
-		row[i] = v
+	row, err := AppendRowUntyped(make(Row, 0, strings.Count(line, "\t")+1), line)
+	if err != nil {
+		return nil, err
 	}
 	return row, nil
 }
 
+// AppendRowUntyped decodes line as DecodeRowUntyped does and appends its
+// fields to dst, so a batch of rows can share one backing array.
+func AppendRowUntyped(dst Row, line string) (Row, error) {
+	if line == "" {
+		return dst, nil
+	}
+	for {
+		f, rest, more := strings.Cut(line, "\t")
+		v, err := DecodeField(f, TypeNull)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, v)
+		if !more {
+			return dst, nil
+		}
+		line = rest
+	}
+}
+
 // EncodeKey renders a list of values as a grouping/partition key. The
-// encoding is injective (delegates to EncodeRow) and preserves nothing
+// encoding is injective (the EncodeRow format) and preserves nothing
 // about ordering; use Compare on decoded values to sort keys.
 func EncodeKey(vals []Value) string { return EncodeRow(Row(vals)) }

@@ -19,6 +19,8 @@ func FuzzDecodeRowUntyped(f *testing.F) {
 		`x\qy`, // invalid escape
 		"-0.0\tNaN\t+Inf",
 		"9223372036854775807\t-9223372036854775808",
+		// Inputs at the edge of the integer and float syntax pre-checks.
+		"+5", "-", "007", "9223372036854775808", "1e5",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -348,15 +348,28 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	}
 	stats.NumReduceTasks = numReduce
 
-	groups := make(map[string][]string)
+	// Count each key's values first, so every group is a slice of one
+	// backing array, filled in map-output order.
+	counts := make(map[string]int)
 	for _, p := range mapOutput {
-		groups[p.key] = append(groups[p.key], p.value)
+		counts[p.key]++
 	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
+	keys := make([]string, 0, len(counts))
+	for k := range counts {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	values := make([]string, len(mapOutput))
+	groups := make(map[string][]string, len(keys))
+	off := 0
+	for _, k := range keys {
+		n := counts[k]
+		groups[k] = values[off : off : off+n]
+		off += n
+	}
+	for _, p := range mapOutput {
+		groups[p.key] = append(groups[p.key], p.value)
+	}
 	stats.ReduceGroups = int64(len(keys))
 	stats.ReduceInputRecords = int64(len(mapOutput))
 

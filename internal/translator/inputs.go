@@ -82,11 +82,36 @@ func (lw *lowerer) traceKeyToBase(op *correlation.Operation, inputIdx int) ([]in
 }
 
 // keySpec describes how an input keys its map output: the key value
-// functions plus an optional non-default encoding (order-preserving keys
-// for distributed sorts are opaque to the reducer).
+// functions, encoded order-preserving for distributed sorts (such keys are
+// opaque to the reducer) and injectively otherwise.
 type keySpec struct {
-	fns    []cmf.RowFn
-	encode func([]exec.Value) string
+	fns  []cmf.RowFn
+	desc []bool // per key, descending; used only when ordered
+	// ordered selects exec.EncodeOrderedKey over exec.EncodeKey.
+	ordered bool
+}
+
+// maxStackKey is the widest key whose values keySpec.key gathers without a
+// heap allocation.
+const maxStackKey = 8
+
+// key compiles the spec into a CommonInput key function.
+func (spec keySpec) key() func(exec.Row) (string, error) {
+	return func(r exec.Row) (string, error) {
+		var buf [maxStackKey]exec.Value
+		vals := buf[:0]
+		for _, fn := range spec.fns {
+			v, err := fn(r)
+			if err != nil {
+				return "", err
+			}
+			vals = append(vals, v)
+		}
+		if spec.ordered {
+			return exec.EncodeOrderedKey(vals, spec.desc), nil
+		}
+		return exec.EncodeKey(vals), nil
+	}
 }
 
 // keyFns compiles the map-output key of an operation input against the
@@ -142,10 +167,7 @@ func (lw *lowerer) keyFns(jb *jobBuild, op *correlation.Operation, inputIdx int,
 			fns[i] = cmf.RowFn(ev)
 			desc[i] = k.Desc
 		}
-		return keySpec{
-			fns:    fns,
-			encode: func(vals []exec.Value) string { return exec.EncodeOrderedKey(vals, desc) },
-		}, nil
+		return keySpec{fns: fns, desc: desc, ordered: true}, nil
 	default:
 		return keySpec{}, fmt.Errorf("unknown op kind")
 	}
@@ -154,27 +176,13 @@ func (lw *lowerer) keyFns(jb *jobBuild, op *correlation.Operation, inputIdx int,
 // parallelSort reports whether a sort runs with range-ordered keys over
 // many reducers (possible whenever no LIMIT has to be applied globally).
 func (lw *lowerer) parallelSort(op *correlation.Operation) bool {
-	return !(op == lw.analysis.RootOp && lw.topLimit > 0)
-}
-
-func keyFromFns(fns []cmf.RowFn) func(exec.Row) ([]exec.Value, error) {
-	return func(r exec.Row) ([]exec.Value, error) {
-		out := make([]exec.Value, len(fns))
-		for i, fn := range fns {
-			v, err := fn(r)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
+	return !(op == lw.analysis.RootOp && lw.topLimit >= 0)
 }
 
 // buildSimpleScanInput lowers a single-stream base-table input: the mapper
-// decodes the full row, prunes it, applies the whole transparent chain
-// (selection and projection in the map phase, §V.A), and emits the
-// chain-top row.
+// decodes only the columns the scan's view keeps, applies the whole
+// transparent chain (selection and projection in the map phase, §V.A), and
+// emits the chain-top row.
 func (lw *lowerer) buildSimpleScanInput(cj *cmf.CommonJob, ss *sharedStream, slots map[slotKey]slot) error {
 	scanEff := lw.view(ss.scan)
 	stages, topEff, err := lowerChain(scanEff, ss.chain, lw.requiredOf)
@@ -186,20 +194,15 @@ func (lw *lowerer) buildSimpleScanInput(cj *cmf.CommonJob, ss *sharedStream, slo
 	if err != nil {
 		return err
 	}
-	decodeSchema := ss.scan.Schema()
-	pre := scanEff.cols
+	dec := exec.NewColumnDecoder(ss.scan.Schema(), scanEff.cols)
 	decode := func(line string) (exec.Row, error) {
-		row, err := exec.DecodeRow(line, decodeSchema)
+		row, err := dec.Decode(line)
 		if err != nil {
 			return nil, err
 		}
-		cur := make(exec.Row, len(pre))
-		for i, c := range pre {
-			cur[i] = row[c]
-		}
-		return applyStages(stages, cur)
+		return applyStages(stages, row)
 	}
-	if spec.encode != nil {
+	if spec.ordered {
 		cj.OpaqueKeys = true
 	}
 	fact := ScanFact{Job: cj.Name, InputIdx: len(cj.Inputs), Table: ss.scan.Table, Path: TablePath(ss.scan.Table)}
@@ -216,11 +219,10 @@ func (lw *lowerer) buildSimpleScanInput(cj *cmf.CommonJob, ss *sharedStream, slo
 	}
 	lw.facts = append(lw.facts, fact)
 	cj.Inputs = append(cj.Inputs, cmf.CommonInput{
-		Path:      TablePath(ss.scan.Table),
-		Decode:    decode,
-		Key:       keyFromFns(spec.fns),
-		KeyEncode: spec.encode,
-		Streams:   []cmf.Stream{{ID: ss.id}},
+		Path:    TablePath(ss.scan.Table),
+		Decode:  decode,
+		Key:     spec.key(),
+		Streams: []cmf.Stream{{ID: ss.id}},
 	})
 	slots[ss.key] = slot{src: cmf.StreamSource(ss.id), eff: topEff}
 	return nil
@@ -252,28 +254,26 @@ func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*
 		unionPos[c] = i
 	}
 
+	// One decoded row per line serves the selections, the common value and
+	// the key: the full row (which the stream selections are compiled
+	// against), then the union columns, then the key columns.
 	decodeSchema := streams[0].scan.Schema()
 	keyBase := streams[0].keyBase
+	full := decodeSchema.Len()
+	cols := make([]int, 0, full+len(unionCols)+len(keyBase))
+	for c := 0; c < full; c++ {
+		cols = append(cols, c)
+	}
+	cols = append(cols, unionCols...)
+	cols = append(cols, keyBase...)
+	dec := exec.NewColumnDecoder(decodeSchema, cols)
+	unionEnd := full + len(unionCols)
 
 	input := cmf.CommonInput{
-		Path: TablePath(table),
-		Decode: func(line string) (exec.Row, error) {
-			return exec.DecodeRow(line, decodeSchema)
-		},
-		Key: func(r exec.Row) ([]exec.Value, error) {
-			out := make([]exec.Value, len(keyBase))
-			for i, c := range keyBase {
-				out[i] = r[c]
-			}
-			return out, nil
-		},
-		Project: func(r exec.Row) exec.Row {
-			out := make(exec.Row, len(unionCols))
-			for i, c := range unionCols {
-				out[i] = r[c]
-			}
-			return out
-		},
+		Path:    TablePath(table),
+		Decode:  dec.Decode,
+		Key:     func(r exec.Row) (string, error) { return exec.EncodeKey(r[unionEnd:]), nil },
+		Project: func(r exec.Row) exec.Row { return r[full:unionEnd:unionEnd] },
 	}
 
 	fact := ScanFact{Job: cj.Name, InputIdx: len(cj.Inputs), Table: table, Path: TablePath(table)}
@@ -398,15 +398,14 @@ func (lw *lowerer) buildIntermediateInput(cj *cmf.CommonJob, op *correlation.Ope
 		}
 		return applyStages(stages, row)
 	}
-	if spec.encode != nil {
+	if spec.ordered {
 		cj.OpaqueKeys = true
 	}
 	cj.Inputs = append(cj.Inputs, cmf.CommonInput{
-		Path:      ref.path,
-		Decode:    decode,
-		Key:       keyFromFns(spec.fns),
-		KeyEncode: spec.encode,
-		Streams:   []cmf.Stream{{ID: streamID}},
+		Path:    ref.path,
+		Decode:  decode,
+		Key:     spec.key(),
+		Streams: []cmf.Stream{{ID: streamID}},
 	})
 	slots[slotKey{op.ID, inputIdx}] = slot{src: cmf.StreamSource(streamID), eff: topEff}
 	return nil

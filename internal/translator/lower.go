@@ -38,8 +38,8 @@ type lowerer struct {
 	// facts accumulates per-scan prefilter facts while jobs lower; they
 	// land on Translation.ScanFacts.
 	facts []ScanFact
-	// topLimit is the LIMIT stripped from above the root sort (0 if none);
-	// it decides whether that sort can run range-partitioned.
+	// topLimit is the LIMIT stripped from above the root sort (-1 if
+	// none); it decides whether that sort can run range-partitioned.
 	topLimit int
 }
 
@@ -81,18 +81,16 @@ func (lw *lowerer) lowerSPQuery() (*Translation, error) {
 	if err != nil {
 		return nil, err
 	}
-	decodeSchema := scan.Schema()
-	pre := scanEff.cols
-	mapper := mapreduce.MapperFunc(func(line string, emit mapreduce.Emit) error {
-		row, err := exec.DecodeRow(line, decodeSchema)
+	dec := exec.NewColumnDecoder(scan.Schema(), scanEff.cols)
+	decode := func(line string) (exec.Row, error) {
+		row, err := dec.Decode(line)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cur := make(exec.Row, len(pre))
-		for i, c := range pre {
-			cur[i] = row[c]
-		}
-		out, err := applyStages(stages, cur)
+		return applyStages(stages, row)
+	}
+	mapper := mapreduce.MapperFunc(func(line string, emit mapreduce.Emit) error {
+		out, err := decode(line)
 		if err != nil || out == nil {
 			return err
 		}
@@ -112,15 +110,7 @@ func (lw *lowerer) lowerSPQuery() (*Translation, error) {
 	} else {
 		fact.PredSQL = filterSQL(in.Chain[len(in.Chain)-n:])
 		fact.Prefilter = func(line string) bool {
-			row, err := exec.DecodeRow(line, decodeSchema)
-			if err != nil {
-				return true
-			}
-			cur := make(exec.Row, len(pre))
-			for i, c := range pre {
-				cur[i] = row[c]
-			}
-			out, err := applyStages(stages, cur)
+			out, err := decode(line)
 			return err != nil || out != nil
 		}
 	}
@@ -160,7 +150,7 @@ func (lw *lowerer) lowerJobs(g *grouping) (*Translation, error) {
 	mrOf := make(map[*jobBuild]*mapreduce.Job, len(order))
 	artOf := make(map[*jobBuild]JobArtifact, len(order))
 	for idx, jb := range order {
-		cj, err := lw.lowerJob(jb, idx+1, g, topChain, topLimit, tr)
+		cj, err := lw.lowerJob(jb, idx+1, g, topChain, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -193,10 +183,11 @@ func (lw *lowerer) lowerJobs(g *grouping) (*Translation, error) {
 	return tr, nil
 }
 
-// splitTopLimit validates and removes a LIMIT from the top chain.
+// splitTopLimit validates and removes a LIMIT from the top chain. The
+// limit is -1 when the query has none.
 func (lw *lowerer) splitTopLimit() ([]plan.Node, int, error) {
 	chain := lw.analysis.TopChain
-	limit := 0
+	limit := -1
 	for i, n := range chain {
 		l, ok := n.(*plan.Limit)
 		if !ok {
@@ -286,7 +277,7 @@ type sharedStream struct {
 }
 
 // lowerJob builds the CMF description of one job.
-func (lw *lowerer) lowerJob(jb *jobBuild, idx int, g *grouping, topChain []plan.Node, topLimit int, tr *Translation) (*cmf.CommonJob, error) {
+func (lw *lowerer) lowerJob(jb *jobBuild, idx int, g *grouping, topChain []plan.Node, tr *Translation) (*cmf.CommonJob, error) {
 	opNames := make([]string, len(jb.ops))
 	for i, op := range jb.ops {
 		opNames[i] = op.Name()
@@ -414,7 +405,7 @@ func (lw *lowerer) lowerJob(jb *jobBuild, idx int, g *grouping, topChain []plan.
 			srcs[i] = s.src
 			effs[i] = s.eff
 		}
-		if err := lw.buildOp(cj, jb, op, srcs, effs, topLimit, addOp); err != nil {
+		if err := lw.buildOp(cj, jb, op, srcs, effs, addOp); err != nil {
 			return nil, err
 		}
 	}

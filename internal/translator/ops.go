@@ -9,7 +9,7 @@ import (
 )
 
 // buildOp lowers one operation onto the job's per-key dataflow graph.
-func (lw *lowerer) buildOp(cj *cmf.CommonJob, jb *jobBuild, op *correlation.Operation, srcs []cmf.Source, effs []effView, topLimit int, addOp func(cmf.Op)) error {
+func (lw *lowerer) buildOp(cj *cmf.CommonJob, jb *jobBuild, op *correlation.Operation, srcs []cmf.Source, effs []effView, addOp func(cmf.Op)) error {
 	switch op.Kind {
 	case correlation.KindJoin:
 		j := op.Join
@@ -91,9 +91,9 @@ func (lw *lowerer) buildOp(cj *cmf.CommonJob, jb *jobBuild, op *correlation.Oper
 			}
 			keys[i] = cmf.SortKey{Fn: cmf.RowFn(ev), Desc: k.Desc}
 		}
-		limit := 0
+		limit := -1
 		if op == lw.analysis.RootOp {
-			limit = topLimit
+			limit = lw.topLimit
 		}
 		addOp(&cmf.SortOp{OpName: op.Name(), In: srcs[0], Keys: keys, Limit: limit})
 		if !lw.parallelSort(op) {

@@ -63,7 +63,7 @@ func (lw *lowerer) artifactFor(jb *jobBuild, cj *cmf.CommonJob, depFPs []string)
 	tables := make(map[string]bool)
 	for _, op := range jb.ops {
 		if op == lw.analysis.RootOp {
-			fmt.Fprintf(&sb, "root;limit=%d;%s\n", lw.topLimit, reuse.CanonPlan(lw.analysis.Root()))
+			lw.rootLine(&sb)
 			for t := range plan.BaseTables(lw.analysis.Root()) {
 				tables[t] = true
 			}
@@ -83,12 +83,21 @@ func (lw *lowerer) artifactFor(jb *jobBuild, cj *cmf.CommonJob, depFPs []string)
 	return JobArtifact{Fingerprint: reuse.Fingerprint(sb.String()), Tables: tablePathsOf(tables)}
 }
 
+// rootLine renders the fingerprint line of the job producing the query
+// result. A query without LIMIT renders limit=0, which keeps the
+// fingerprints of stored results stable; LIMIT 0 renders the same, and
+// the two still differ because the canonical plan that follows includes
+// the Limit node.
+func (lw *lowerer) rootLine(sb *strings.Builder) {
+	fmt.Fprintf(sb, "root;limit=%d;%s\n", max(lw.topLimit, 0), reuse.CanonPlan(lw.analysis.Root()))
+}
+
 // rootArtifact fingerprints the single map-only job of a pure
 // selection-projection query: the full plan root.
 func (lw *lowerer) rootArtifact() JobArtifact {
 	var sb strings.Builder
 	lw.artifactHeader(&sb)
-	fmt.Fprintf(&sb, "root;limit=%d;%s\n", lw.topLimit, reuse.CanonPlan(lw.analysis.Root()))
+	lw.rootLine(&sb)
 	return JobArtifact{
 		Fingerprint: reuse.Fingerprint(sb.String()),
 		Tables:      tablePathsOf(plan.BaseTables(lw.analysis.Root())),

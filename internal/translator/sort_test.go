@@ -145,3 +145,51 @@ func TestSortStringKeysDistributed(t *testing.T) {
 		}
 	}
 }
+
+// TestLimitZeroAndOneAllModes: LIMIT 0 returns no rows and LIMIT 1 the
+// first, exactly as the oracle does, in every translation mode; and a
+// LIMIT 0 query never shares its result fingerprint with the same query
+// without LIMIT, so the reuse store cannot serve one for the other.
+func TestLimitZeroAndOneAllModes(t *testing.T) {
+	const base = `SELECT cid, count(*) AS n FROM clicks GROUP BY cid ORDER BY cid`
+	dfs, db := workload(t)
+	for _, limit := range []string{" LIMIT 0", " LIMIT 1", ""} {
+		sql := base + limit
+		root, err := queries.Plan(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := dbms.Execute(root, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]int{" LIMIT 0": 0, " LIMIT 1": 1, "": 5}[limit]
+		if len(oracle.Rows) != want {
+			t.Fatalf("%q: oracle returned %d rows, want %d", sql, len(oracle.Rows), want)
+		}
+		for _, mode := range allModes {
+			tr, err := Translate(root, mode, Options{QueryName: "limit-" + mode.String()})
+			if err != nil {
+				t.Fatalf("%q translate (%v): %v", sql, mode, err)
+			}
+			rows, _ := runMR(t, tr, dfs)
+			if len(rows) != len(oracle.Rows) {
+				t.Fatalf("%q (%v): %d rows, want %d", sql, mode, len(rows), len(oracle.Rows))
+			}
+			for i := range rows {
+				if exec.EncodeRow(rows[i]) != exec.EncodeRow(oracle.Rows[i]) {
+					t.Errorf("%q (%v) row %d: got %s, want %s", sql, mode, i,
+						exec.EncodeRow(rows[i]), exec.EncodeRow(oracle.Rows[i]))
+				}
+			}
+		}
+	}
+	for _, mode := range allModes {
+		limited := translate(t, base+" LIMIT 0", mode, Options{QueryName: "fp"})
+		plain := translate(t, base, mode, Options{QueryName: "fp"})
+		a, b := limited.Artifacts, plain.Artifacts
+		if a[len(a)-1].Fingerprint == b[len(b)-1].Fingerprint {
+			t.Errorf("%v: LIMIT 0 and no LIMIT share the result fingerprint %s", mode, a[len(a)-1].Fingerprint)
+		}
+	}
+}

@@ -202,6 +202,7 @@ func TranslateAnalyzed(a *correlation.Analysis, mode Mode, opts Options) (*Trans
 		share:    (mode == ICTCOnly || mode == YSmart) && !opts.DisableSharedScan,
 		effOf:    make(map[*correlation.Operation]effView),
 		written:  make(map[*correlation.Operation]outputRef),
+		topLimit: -1,
 	}
 
 	if a.RootOp == nil {
