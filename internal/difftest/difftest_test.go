@@ -3,6 +3,7 @@ package difftest
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"ysmart"
+	"ysmart/internal/mapreduce"
 	"ysmart/internal/queries"
 )
 
@@ -135,6 +137,63 @@ func TestModesAgree(t *testing.T) {
 			diffLines(t, "ysmart vs one-to-one", merged.SortedLines(), naive.SortedLines())
 		})
 	}
+}
+
+// TestFaultedPredictionMatchesAnalytic checks that fault injection moves
+// only the schedule: every faulted job keeps the fault-free job's
+// counters and predicts exactly the fault-free analytic time, so
+// CostDrift measures recovery against the model's own prediction.
+func TestFaultedPredictionMatchesAnalytic(t *testing.T) {
+	named := queries.Named()
+	for _, name := range QueryNames() {
+		sql := named[name]
+		for _, mode := range []ysmart.Mode{ysmart.YSmart, ysmart.OneToOne} {
+			t.Run(name+"/"+mode.String(), func(t *testing.T) {
+				plans := FaultPlans(1, 2)
+				base, err := Execute(name, sql, mode, 1, plans[0], workload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, js := range base.Jobs {
+					if d := js.CostDrift(); d != 1 {
+						t.Errorf("%s: fault-free CostDrift = %.17g, want exactly 1", js.Name, d)
+					}
+				}
+				for _, plan := range plans[1:] {
+					run, err := Execute(name, sql, mode, 1, plan, workload)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(run.Jobs) != len(base.Jobs) {
+						t.Fatalf("%s: %d jobs, want %d", PlanLabel(plan), len(run.Jobs), len(base.Jobs))
+					}
+					for i, js := range run.Jobs {
+						want := base.Jobs[i]
+						if math.Float64bits(js.PredictedTime) != math.Float64bits(want.PredictedTime) {
+							t.Errorf("%s %s: PredictedTime %.17g, fault-free %.17g",
+								PlanLabel(plan), js.Name, js.PredictedTime, want.PredictedTime)
+						}
+						if got, want := analyticView(js), analyticView(want); !reflect.DeepEqual(got, want) {
+							t.Errorf("%s %s: counters differ from the fault-free job:\n got  %+v\n want %+v",
+								PlanLabel(plan), js.Name, got, want)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// analyticView is a copy of js without the fields fault recovery may
+// change (the scheduled phase times and the recovery accounting) and
+// without PredictedTime, which the caller compares bit for bit.
+func analyticView(js *mapreduce.JobStats) mapreduce.JobStats {
+	v := *js
+	v.MapTime, v.ShuffleTime, v.ReduceTime, v.PredictedTime = 0, 0, 0, 0
+	v.MapTaskRetries, v.ReduceTaskRetries, v.RecomputedMapTasks = 0, 0, 0
+	v.SpeculativeTasks, v.SpeculativeWins, v.NodeFailures = 0, 0, 0
+	v.Attempts = nil
+	return v
 }
 
 // diffLines reports the first few differing lines between two sorted row

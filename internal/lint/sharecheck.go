@@ -144,29 +144,30 @@ func checkTaskRegion(pass *Pass, g *CallGraph, fn *types.Func, fd *ast.FuncDecl,
 				"unguarded write to %s inside a parallel task body; write into a per-task slot indexed by the task index, hold a mutex, or use sync/atomic", w)
 		}
 	}
-	visitLocked(pkg, lit.Body.List, 0, func(n ast.Node, held bool) {
+	visitHeld(pkg, g.lockWrappers(), lit.Body.List, &heldLocks{}, func(n ast.Node, held *heldLocks) {
+		locked := held.any()
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			if held {
+			if locked {
 				return
 			}
 			for _, lhs := range n.Lhs {
 				checkWrite(lhs)
 			}
 		case *ast.IncDecStmt:
-			if !held {
+			if !locked {
 				checkWrite(n.X)
 			}
 		case *ast.CallExpr:
-			if !held {
+			if !locked {
 				checkCallSite(pass, g, fn, fd, lit, n, reported)
 			}
 		case *ast.SelectorExpr:
-			if !held {
+			if !locked {
 				checkRefSite(pass, g, fn, n.Pos(), reported)
 			}
 		case *ast.Ident:
-			if !held {
+			if !locked {
 				checkRefSite(pass, g, fn, n.Pos(), reported)
 			}
 		}

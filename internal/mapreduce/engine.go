@@ -205,12 +205,45 @@ type mapTask struct {
 
 // mapTaskResult is one map task's contribution, produced on a worker and
 // gathered by the driver in task order. pairs holds post-combine output;
-// the pre-combine counters feed the cost model's sort/spill charges.
+// preBytes, the pre-combine output size, feeds the cost model's sort
+// charge.
 type mapTaskResult struct {
-	pairs      []kv
-	preRecords int64
-	preBytes   int64
-	filtered   int64 // lines the input's Prefilter rejected before the mapper
+	pairs    []kv
+	preBytes int64
+	filtered int64 // lines the input's Prefilter rejected before the mapper
+}
+
+// runMapTask runs one map task's user code over its chunk: the input's
+// prefilter, the mapper and, for jobs with a reducer, the combiner. The
+// primary pass and every fault-path re-execution call it, so a replayed
+// attempt runs exactly the code the first attempt ran.
+func runMapTask(j *Job, task mapTask) (mapTaskResult, error) {
+	var taskPairs []kv
+	emit := func(key, value string) {
+		taskPairs = append(taskPairs, kv{key, value})
+	}
+	var r mapTaskResult
+	for _, line := range task.chunk {
+		if task.input.Prefilter != nil && !task.input.Prefilter(line) {
+			r.filtered++
+			continue
+		}
+		if err := task.input.Mapper.Map(line, emit); err != nil {
+			return r, fmt.Errorf("map %s: %w", task.input.Path, err)
+		}
+	}
+	r.pairs = taskPairs
+	for _, p := range taskPairs {
+		r.preBytes += int64(len(p.key) + len(p.value) + 2)
+	}
+	if j.Reducer != nil && j.Combiner != nil {
+		combined, err := combineTask(taskPairs, j.Combiner)
+		if err != nil {
+			return r, fmt.Errorf("combine: %w", err)
+		}
+		r.pairs = combined
+	}
+	return r, nil
 }
 
 // RunJob executes a single job: map over every input, optional combine per
@@ -236,10 +269,6 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	stats := &JobStats{Name: j.Name, MapOnly: j.Reducer == nil}
 
 	// ----- Map phase -----------------------------------------------------
-	var preCombineRecords, preCombineBytes int64
-	var mapOutput []kv // post-combine pairs from all tasks
-	var mapOnlyLines []string
-
 	var tasks []mapTask
 	for _, in := range j.Inputs {
 		lines, err := e.dfs.Read(in.Path)
@@ -270,40 +299,17 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	// the sequential engine's.
 	mapResults := make([]mapTaskResult, len(tasks))
 	err := e.forEachTask(len(tasks), func(i int) error {
-		task := tasks[i]
-		var taskPairs []kv
-		emit := func(key, value string) {
-			taskPairs = append(taskPairs, kv{key, value})
-		}
-		var filtered int64
-		for _, line := range task.chunk {
-			if task.input.Prefilter != nil && !task.input.Prefilter(line) {
-				filtered++
-				continue
-			}
-			if err := task.input.Mapper.Map(line, emit); err != nil {
-				return fmt.Errorf("map %s: %w", task.input.Path, err)
-			}
-		}
-		r := mapTaskResult{pairs: taskPairs, preRecords: int64(len(taskPairs)), filtered: filtered}
-		for _, p := range taskPairs {
-			r.preBytes += int64(len(p.key) + len(p.value) + 2)
-		}
-		if j.Reducer != nil && j.Combiner != nil {
-			combined, err := combineTask(taskPairs, j.Combiner)
-			if err != nil {
-				return fmt.Errorf("combine: %w", err)
-			}
-			r.pairs = combined
-		}
+		r, err := runMapTask(j, tasks[i])
 		mapResults[i] = r
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	var preCombineBytes int64
+	var mapOutput []kv // post-combine pairs from all tasks
+	var mapOnlyLines []string
 	for _, r := range mapResults {
-		preCombineRecords += r.preRecords
 		preCombineBytes += r.preBytes
 		stats.MapRecordsFiltered += r.filtered
 		if j.Reducer == nil {
@@ -315,23 +321,33 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 		mapOutput = append(mapOutput, r.pairs...)
 	}
 
-	// ----- Map-only jobs write straight to the DFS -----------------------
+	var keys []string
+	var groups map[string][]string
 	if j.Reducer == nil {
+		// Map-only jobs write straight to the DFS.
 		e.dfs.Write(j.Output, mapOnlyLines)
 		stats.MapOutputRecords = int64(len(mapOnlyLines))
 		stats.MapOutputBytes = linesBytes(mapOnlyLines)
 		stats.ReduceOutputRecords = stats.MapOutputRecords
 		stats.ReduceOutputBytes = stats.MapOutputBytes
-		if e.faultsActive() {
-			if err := e.costMapOnlyFaulty(j, stats, preCombineRecords, preCombineBytes, tasks); err != nil {
-				return nil, err
-			}
-		} else {
-			e.costMapOnly(j, stats, preCombineRecords, preCombineBytes)
-		}
-		return stats, nil
+	} else if keys, groups, err = e.shuffleReduce(j, stats, mapOutput); err != nil {
+		return nil, err
 	}
 
+	c := e.analyticCost(stats, preCombineBytes)
+	if e.faultsActive() {
+		if err := e.scheduleFaults(j, stats, c, tasks, keys, groups); err != nil {
+			return nil, err
+		}
+	}
+	return stats, nil
+}
+
+// shuffleReduce groups the map output by key, runs the reducer over the
+// groups in sorted key order and writes the job's output. It returns the
+// sorted keys and their groups for fault-path reduce replays.
+func (e *Engine) shuffleReduce(j *Job, stats *JobStats, mapOutput []kv) ([]string, map[string][]string, error) {
+	cl := e.cluster
 	stats.MapOutputRecords = int64(len(mapOutput))
 	for _, p := range mapOutput {
 		stats.MapOutputBytes += int64(len(p.key) + len(p.value) + 2)
@@ -399,7 +415,7 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, o := range outs {
 			outLines = append(outLines, o...)
@@ -408,7 +424,7 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 		emitLine := func(line string) { outLines = append(outLines, line) }
 		for _, k := range keys {
 			if err := j.Reducer.Reduce(k, groups[k], emitLine); err != nil {
-				return nil, fmt.Errorf("reduce key %q: %w", k, err)
+				return nil, nil, fmt.Errorf("reduce key %q: %w", k, err)
 			}
 		}
 	}
@@ -424,15 +440,7 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	e.dfs.Write(j.Output, outLines)
 	stats.ReduceOutputRecords = int64(len(outLines))
 	stats.ReduceOutputBytes = linesBytes(outLines)
-
-	if e.faultsActive() {
-		if err := e.costJobFaulty(j, stats, preCombineRecords, preCombineBytes, tasks, keys, groups); err != nil {
-			return nil, err
-		}
-	} else {
-		e.costJob(j, stats, preCombineRecords, preCombineBytes)
-	}
-	return stats, nil
+	return keys, groups, nil
 }
 
 // combineTask groups one map task's output by key and applies the combiner.
@@ -505,90 +513,97 @@ func mapCPURecords(s *JobStats, cm CostModel, scale float64) float64 {
 	return inRecords - filtered*(1-cm.prefilterFactor())
 }
 
-// costJob fills the simulated phase times of a full map+reduce job from its
-// counters. All byte/record quantities are scaled by the cluster DataScale
-// first. Each phase is costed as the maximum of its disk-, network- and
-// CPU-bound times (a throughput bottleneck model) plus per-wave task
-// scheduling overhead.
-func (e *Engine) costJob(j *Job, s *JobStats, preCombineRecords, preCombineBytes int64) {
-	cl := e.cluster
-	cm := cl.Cost
-	scale := cl.DataScale
-	nodes := cl.effectiveNodes()
-
-	inBytes := float64(s.MapInputBytes) * scale
-	preBytes := float64(preCombineBytes) * scale
-	outBytes := float64(s.MapOutputBytes) * scale
-	spillBytes := outBytes
-	var compressCPU float64
-	if cl.Compress {
-		spillBytes *= cm.CompressionRatio
-		compressCPU = outBytes * cm.CompressCPUPerByte
-	}
-
-	// Map phase. Compression runs inline in the spill path, so its CPU cost
-	// adds to the phase rather than overlapping the disk time.
-	mapDisk := (inBytes + spillBytes) / (nodes * cm.DiskBandwidth)
-	mapCPU := (mapCPURecords(s, cm, scale)*cm.MapCPUPerRecord + preBytes*cm.SortCPUPerByte) / cl.mapSlots()
-	mapWaves := math.Ceil(float64(s.NumMapTasks) / cl.mapSlots())
-	s.MapTime = (math.Max(mapDisk, mapCPU)+compressCPU/cl.mapSlots())*cl.loadFactor() + mapWaves*cm.TaskOverhead
-	s.MapBottleneck = "disk"
-	if mapCPU > mapDisk {
-		s.MapBottleneck = "cpu"
-	}
-
-	// Shuffle.
-	shuffleBytes := float64(s.ShuffleBytes) * scale
-	shuffleNet := shuffleBytes / (nodes * cm.NetworkBandwidth)
-	var decompressCPU float64
-	if cl.Compress {
-		decompressCPU = shuffleBytes * cm.DecompressCPUPerByte / cl.reduceSlots()
-	}
-	s.ShuffleTime = (shuffleNet + decompressCPU) * cl.loadFactor()
-
-	// Reduce phase: read merged input from local disk, run the reduce
-	// function, write output to the DFS (one local replica on disk, the
-	// rest over the network).
-	redInBytes := outBytes // decompressed size
-	redRecords := float64(s.ReduceWorkRecords) * scale
-	redOutBytes := float64(s.ReduceOutputBytes) * scale
-	repl := float64(cm.HDFSReplication - 1)
-	redDisk := (redInBytes + redOutBytes) / (nodes * cm.DiskBandwidth)
-	redNet := redOutBytes * repl / (nodes * cm.NetworkBandwidth)
-	redCPU := redRecords * cm.ReduceCPUPerRecord / cl.reduceSlots()
-	redWaves := math.Ceil(float64(s.NumReduceTasks) / cl.reduceSlots())
-	s.ReduceTime = math.Max(redDisk+redNet, redCPU)*cl.loadFactor() + redWaves*cm.TaskOverhead
-	s.ReduceBottleneck = "disk+net"
-	if redCPU > redDisk+redNet {
-		s.ReduceBottleneck = "cpu"
-	}
-
-	s.StartupTime = cm.JobStartup
-	// The analytic path IS the prediction, so drift is exactly 1 here.
-	s.PredictedTime = s.StartupTime + s.MapTime + s.ShuffleTime + s.ReduceTime
+// phaseCost is a job's analytic phase work: what the throughput model
+// charges each phase before per-wave task overhead, the wave counts that
+// overhead multiplies, and the shuffle time. Fault-free runs read their
+// phase times straight off it; under a FaultPlan, scheduleFaults spreads
+// the same work over concrete task attempts.
+type phaseCost struct {
+	mapWork, reduceWork   float64
+	mapWaves, reduceWaves float64
+	shuffle               float64
 }
 
-// costMapOnly fills times for a job without a reduce phase: map output goes
-// straight to the DFS with replication.
-func (e *Engine) costMapOnly(j *Job, s *JobStats, preCombineRecords, preCombineBytes int64) {
+// analyticCost fills s's bottlenecks, startup and analytic phase times
+// from its counters, sets PredictedTime to their total, and returns the
+// phase work behind them. All byte/record quantities are scaled by the
+// cluster DataScale first. Each phase is costed as the maximum of its
+// disk-, network- and CPU-bound times (a throughput bottleneck model)
+// plus per-wave task scheduling overhead. A map-only job writes its map
+// output straight to the DFS with replication and has no shuffle or
+// reduce phase.
+func (e *Engine) analyticCost(s *JobStats, preCombineBytes int64) phaseCost {
 	cl := e.cluster
 	cm := cl.Cost
 	scale := cl.DataScale
 	nodes := cl.effectiveNodes()
-
-	inBytes := float64(s.MapInputBytes) * scale
-	outBytes := float64(s.ReduceOutputBytes) * scale
 	repl := float64(cm.HDFSReplication - 1)
+	inBytes := float64(s.MapInputBytes) * scale
+	var c phaseCost
+	c.mapWaves = math.Ceil(float64(s.NumMapTasks) / cl.mapSlots())
 
-	mapDisk := (inBytes + outBytes) / (nodes * cm.DiskBandwidth)
-	mapNet := outBytes * repl / (nodes * cm.NetworkBandwidth)
-	mapCPU := mapCPURecords(s, cm, scale) * cm.MapCPUPerRecord / cl.mapSlots()
-	mapWaves := math.Ceil(float64(s.NumMapTasks) / cl.mapSlots())
-	s.MapTime = math.Max(mapDisk+mapNet, mapCPU)*cl.loadFactor() + mapWaves*cm.TaskOverhead
-	s.MapBottleneck = "disk+net"
-	if mapCPU > mapDisk+mapNet {
-		s.MapBottleneck = "cpu"
+	if s.MapOnly {
+		outBytes := float64(s.ReduceOutputBytes) * scale
+		mapDisk := (inBytes + outBytes) / (nodes * cm.DiskBandwidth)
+		mapNet := outBytes * repl / (nodes * cm.NetworkBandwidth)
+		mapCPU := mapCPURecords(s, cm, scale) * cm.MapCPUPerRecord / cl.mapSlots()
+		c.mapWork = math.Max(mapDisk+mapNet, mapCPU) * cl.loadFactor()
+		s.MapBottleneck = "disk+net"
+		if mapCPU > mapDisk+mapNet {
+			s.MapBottleneck = "cpu"
+		}
+	} else {
+		preBytes := float64(preCombineBytes) * scale
+		outBytes := float64(s.MapOutputBytes) * scale
+		spillBytes := outBytes
+		var compressCPU float64
+		if cl.Compress {
+			spillBytes *= cm.CompressionRatio
+			compressCPU = outBytes * cm.CompressCPUPerByte
+		}
+
+		// Map phase. Compression runs inline in the spill path, so its CPU
+		// cost adds to the phase rather than overlapping the disk time.
+		mapDisk := (inBytes + spillBytes) / (nodes * cm.DiskBandwidth)
+		mapCPU := (mapCPURecords(s, cm, scale)*cm.MapCPUPerRecord + preBytes*cm.SortCPUPerByte) / cl.mapSlots()
+		c.mapWork = (math.Max(mapDisk, mapCPU) + compressCPU/cl.mapSlots()) * cl.loadFactor()
+		s.MapBottleneck = "disk"
+		if mapCPU > mapDisk {
+			s.MapBottleneck = "cpu"
+		}
+
+		// Shuffle.
+		shuffleBytes := float64(s.ShuffleBytes) * scale
+		shuffleNet := shuffleBytes / (nodes * cm.NetworkBandwidth)
+		var decompressCPU float64
+		if cl.Compress {
+			decompressCPU = shuffleBytes * cm.DecompressCPUPerByte / cl.reduceSlots()
+		}
+		c.shuffle = (shuffleNet + decompressCPU) * cl.loadFactor()
+
+		// Reduce phase: read merged input from local disk, run the reduce
+		// function, write output to the DFS (one local replica on disk, the
+		// rest over the network).
+		redInBytes := outBytes // decompressed size
+		redRecords := float64(s.ReduceWorkRecords) * scale
+		redOutBytes := float64(s.ReduceOutputBytes) * scale
+		redDisk := (redInBytes + redOutBytes) / (nodes * cm.DiskBandwidth)
+		redNet := redOutBytes * repl / (nodes * cm.NetworkBandwidth)
+		redCPU := redRecords * cm.ReduceCPUPerRecord / cl.reduceSlots()
+		c.reduceWork = math.Max(redDisk+redNet, redCPU) * cl.loadFactor()
+		c.reduceWaves = math.Ceil(float64(s.NumReduceTasks) / cl.reduceSlots())
+		s.ReduceBottleneck = "disk+net"
+		if redCPU > redDisk+redNet {
+			s.ReduceBottleneck = "cpu"
+		}
+		s.ShuffleTime = c.shuffle
+		s.ReduceTime = c.reduceWork + c.reduceWaves*cm.TaskOverhead
 	}
+	s.MapTime = c.mapWork + c.mapWaves*cm.TaskOverhead
 	s.StartupTime = cm.JobStartup
-	s.PredictedTime = s.StartupTime + s.MapTime
+	// The analytic path IS the prediction, so its drift is exactly 1; a
+	// fault-injected run keeps this total while the schedule stretches
+	// the phase times.
+	s.PredictedTime = s.StartupTime + s.MapTime + s.ShuffleTime + s.ReduceTime
+	return c
 }

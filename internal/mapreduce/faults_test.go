@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -383,41 +384,100 @@ func TestFaultPlanRollProperties(t *testing.T) {
 	}
 }
 
-func TestMapOnlyJobUnderFaults(t *testing.T) {
-	mk := func(c *Cluster) []string {
-		dfs := NewDFS()
-		dfs.Write("in", faultTestLines())
-		e, err := NewEngine(dfs, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		job := &Job{
-			Name: "filter",
-			Inputs: []Input{{
-				Path: "in",
-				Mapper: MapperFunc(func(line string, emit Emit) error {
-					if strings.Contains(line, "alpha") {
-						emit("", line)
-					}
-					return nil
-				}),
-			}},
-			Output: "out",
-		}
-		if _, err := e.RunJob(job); err != nil {
-			t.Fatal(err)
-		}
-		out, err := dfs.Read("out")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+// runMapOnlyJob runs a map-only filter over the fault-test input on a
+// fresh DFS under the given cluster, returning stats and output lines.
+func runMapOnlyJob(t *testing.T, c *Cluster) (*JobStats, []string) {
+	t.Helper()
+	dfs := NewDFS()
+	dfs.Write("in", faultTestLines())
+	e, err := NewEngine(dfs, c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := mk(testFaultCluster())
+	job := &Job{
+		Name: "filter",
+		Inputs: []Input{{
+			Path: "in",
+			Mapper: MapperFunc(func(line string, emit Emit) error {
+				if strings.Contains(line, "alpha") {
+					emit("", line)
+				}
+				return nil
+			}),
+		}},
+		Output: "out",
+	}
+	stats, err := e.RunJob(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := dfs.Read("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats, out
+}
+
+func TestMapOnlyJobUnderFaults(t *testing.T) {
+	_, want := runMapOnlyJob(t, testFaultCluster())
 	faulty := testFaultCluster()
 	faulty.Faults = &FaultPlan{Seed: 2, TaskFailureProb: 0.3, NodeFailures: []NodeFailure{{Node: 0, At: 13}}}
-	got := mk(faulty)
+	_, got := runMapOnlyJob(t, faulty)
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("map-only output under faults differs from fault-free run")
 	}
+}
+
+// TestQuietPlanReproducesAnalyticTimes pins the scheduler's calibration:
+// a plan whose only event never fires takes the event path, and its
+// schedule reproduces the analytic phase times of a plan-free run, while
+// PredictedTime is the analytic total bit for bit.
+func TestQuietPlanReproducesAnalyticTimes(t *testing.T) {
+	quiet := testFaultCluster()
+	quiet.Faults = &FaultPlan{NodeFailures: []NodeFailure{{Node: 0, At: 1e9}}}
+	check := func(t *testing.T, base, got []*JobStats, baseOut, gotOut []string) {
+		t.Helper()
+		if !reflect.DeepEqual(baseOut, gotOut) {
+			t.Errorf("quiet plan changed the output")
+		}
+		if len(got) != len(base) {
+			t.Fatalf("%d jobs, want %d", len(got), len(base))
+		}
+		for i, g := range got {
+			b := base[i]
+			if len(g.Attempts) != g.NumMapTasks+g.NumReduceTasks {
+				t.Errorf("%s: %d attempts, want one per task (%d)", g.Name, len(g.Attempts), g.NumMapTasks+g.NumReduceTasks)
+			}
+			for _, a := range g.Attempts {
+				if a.Attempt != 0 || a.Outcome != OutcomeOK {
+					t.Errorf("%s: attempt %+v, want attempt 0 with outcome ok", g.Name, a)
+				}
+			}
+			for _, ph := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"map", g.MapTime, b.MapTime},
+				{"shuffle", g.ShuffleTime, b.ShuffleTime},
+				{"reduce", g.ReduceTime, b.ReduceTime},
+			} {
+				if math.Abs(ph.got-ph.want) > 1e-9 {
+					t.Errorf("%s: %s time %.17g, analytic %.17g", g.Name, ph.name, ph.got, ph.want)
+				}
+			}
+			if math.Float64bits(g.PredictedTime) != math.Float64bits(b.PredictedTime) {
+				t.Errorf("%s: PredictedTime %.17g, analytic %.17g", g.Name, g.PredictedTime, b.PredictedTime)
+			}
+		}
+	}
+	t.Run("chain", func(t *testing.T) {
+		base, baseOut := runFaultChain(t, testFaultCluster(), nil)
+		got, gotOut := runFaultChain(t, quiet, nil)
+		check(t, base.Jobs, got.Jobs, baseOut, gotOut)
+	})
+	t.Run("map-only", func(t *testing.T) {
+		base, baseOut := runMapOnlyJob(t, testFaultCluster())
+		got, gotOut := runMapOnlyJob(t, quiet)
+		check(t, []*JobStats{base}, []*JobStats{got}, baseOut, gotOut)
+	})
 }

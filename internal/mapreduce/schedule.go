@@ -2,21 +2,22 @@ package mapreduce
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"ysmart/internal/obs"
 )
 
-// This file is the event-level wave scheduler behind FaultPlan. The
-// analytic cost path (costJob/costMapOnly) stays untouched for fault-free
-// runs; when a non-zero plan is attached the engine instead schedules
-// every task attempt onto concrete slots and nodes, injects failures,
-// node deaths and stragglers, launches speculative backups, and derives
-// phase times from the resulting schedule. Per-task work is calibrated so
-// a fault-free schedule reproduces the analytic phase times: each task's
-// nominal duration is the analytic phase base divided by its wave count,
-// and every attempt pays the cost model's per-wave TaskOverhead.
+// This file is the event-level wave scheduler behind FaultPlan. Both
+// paths cost a job with analyticCost; when a non-zero plan is attached
+// the engine then schedules that phase work as concrete task attempts on
+// slots and nodes, injects failures, node deaths and stragglers, launches
+// speculative backups, and takes the phase times from the resulting
+// schedule. PredictedTime stays the analytic total, so CostDrift measures
+// recovery against the model's own prediction. Per-task work is
+// calibrated so a schedule in which no fault fires reproduces the
+// analytic phase times: each task's nominal duration is the phase's work
+// divided by its wave count, and every attempt pays the cost model's
+// per-wave TaskOverhead.
 
 // slotPool tracks per-slot next-free times for one phase's slot class.
 // Slot s lives on node s % nodes; a node death permanently retires its
@@ -323,75 +324,34 @@ func (e *Engine) faultsActive() bool {
 	return e.cluster.Faults != nil && !e.cluster.Faults.IsZero()
 }
 
-// costJobFaulty is the event-level counterpart of costJob: identical phase
-// bases, but phase times come from scheduling every task attempt under the
-// cluster's FaultPlan, and every extra attempt re-executes the user's
-// map/reduce code (reading its input again from the DFS replicas).
-func (e *Engine) costJobFaulty(j *Job, s *JobStats, preCombineRecords, preCombineBytes int64, tasks []mapTask, keys []string, groups map[string][]string) error {
+// scheduleFaults replaces s's analytic phase times with the event-level
+// schedule of c's work under the cluster's FaultPlan, and re-executes the
+// user's map/reduce code for every extra attempt (reading its input again
+// from the DFS replicas). PredictedTime keeps the analytic total. A
+// map-only job's output goes straight to the replicated DFS, so like
+// reduce output it survives node deaths: the job ends with its map phase
+// and never recomputes lost output.
+func (e *Engine) scheduleFaults(j *Job, s *JobStats, c phaseCost, tasks []mapTask, keys []string, groups map[string][]string) error {
 	cl := e.cluster
-	cm := cl.Cost
-	scale := cl.DataScale
-	nodes := cl.effectiveNodes()
+	overhead := cl.Cost.TaskOverhead
 	plan := cl.Faults
 	deaths := plan.deathTimes()
-
-	inBytes := float64(s.MapInputBytes) * scale
-	preBytes := float64(preCombineBytes) * scale
-	outBytes := float64(s.MapOutputBytes) * scale
-	spillBytes := outBytes
-	var compressCPU float64
-	if cl.Compress {
-		spillBytes *= cm.CompressionRatio
-		compressCPU = outBytes * cm.CompressCPUPerByte
-	}
-
-	mapDisk := (inBytes + spillBytes) / (nodes * cm.DiskBandwidth)
-	mapCPU := (mapCPURecords(s, cm, scale)*cm.MapCPUPerRecord + preBytes*cm.SortCPUPerByte) / cl.mapSlots()
-	mapBase := (math.Max(mapDisk, mapCPU) + compressCPU/cl.mapSlots()) * cl.loadFactor()
-	mapWaves := math.Ceil(float64(s.NumMapTasks) / cl.mapSlots())
-	s.MapBottleneck = "disk"
-	if mapCPU > mapDisk {
-		s.MapBottleneck = "cpu"
-	}
-
-	shuffleBytes := float64(s.ShuffleBytes) * scale
-	shuffleNet := shuffleBytes / (nodes * cm.NetworkBandwidth)
-	var decompressCPU float64
-	if cl.Compress {
-		decompressCPU = shuffleBytes * cm.DecompressCPUPerByte / cl.reduceSlots()
-	}
-	shuffleTime := (shuffleNet + decompressCPU) * cl.loadFactor()
-
-	redInBytes := outBytes
-	redRecords := float64(s.ReduceWorkRecords) * scale
-	redOutBytes := float64(s.ReduceOutputBytes) * scale
-	repl := float64(cm.HDFSReplication - 1)
-	redDisk := (redInBytes + redOutBytes) / (nodes * cm.DiskBandwidth)
-	redNet := redOutBytes * repl / (nodes * cm.NetworkBandwidth)
-	redCPU := redRecords * cm.ReduceCPUPerRecord / cl.reduceSlots()
-	redBase := math.Max(redDisk+redNet, redCPU) * cl.loadFactor()
-	redWaves := math.Ceil(float64(s.NumReduceTasks) / cl.reduceSlots())
-	s.ReduceBottleneck = "disk+net"
-	if redCPU > redDisk+redNet {
-		s.ReduceBottleneck = "cpu"
-	}
-
-	s.StartupTime = cm.JobStartup
-	// The fault-free analytic equivalent of this job: what the cost model
-	// predicted before recovery stretched the schedule.
-	s.PredictedTime = cm.JobStartup +
-		mapBase + mapWaves*cm.TaskOverhead +
-		shuffleTime +
-		redBase + redWaves*cm.TaskOverhead
 	mapStart := e.simNow + s.StartupTime
 
-	// ----- Map phase, with in-phase recompute of output lost to node deaths.
 	mp := newPhaseSched(plan, cl.Speculation, j.Name, "map",
-		mapBase/mapWaves, cm.TaskOverhead,
+		c.mapWork/c.mapWaves, overhead,
 		newSlotPool(int(cl.mapSlots()), cl.Nodes, mapStart, deaths))
 	if err := mp.run(mp.initial(s.NumMapTasks, mapStart)); err != nil {
 		return err
 	}
+	if s.MapOnly {
+		mapEnd := mp.end(mapStart)
+		s.MapTime = mapEnd - mapStart
+		e.fillFaultStats(s, mp, nil, e.simNow, mapEnd)
+		return e.reexecuteMap(j, s, tasks, mp)
+	}
+
+	// ----- Map phase, with in-phase recompute of output lost to node deaths.
 	for {
 		n, err := mp.recomputeLost(mapStart, mp.end(mapStart))
 		if err != nil {
@@ -410,7 +370,7 @@ func (e *Engine) costJobFaulty(j *Job, s *JobStats, preCombineRecords, preCombin
 
 	// ----- Shuffle: node deaths in the shuffle window lose map output that
 	// the reducers have not fetched yet; recovery extends the barrier.
-	shuffleEnd := mapEnd + shuffleTime
+	shuffleEnd := mapEnd + c.shuffle
 	for {
 		n, err := mp.recomputeLost(mapEnd, shuffleEnd)
 		if err != nil {
@@ -432,7 +392,7 @@ func (e *Engine) costJobFaulty(j *Job, s *JobStats, preCombineRecords, preCombin
 	// ----- Reduce phase: completed output lives on the DFS, so deaths only
 	// kill in-flight attempts.
 	rp := newPhaseSched(plan, cl.Speculation, j.Name, "reduce",
-		redBase/redWaves, cm.TaskOverhead,
+		c.reduceWork/c.reduceWaves, overhead,
 		newSlotPool(int(cl.reduceSlots()), cl.Nodes, shuffleEnd, deaths))
 	if err := rp.run(rp.initial(s.NumReduceTasks, shuffleEnd)); err != nil {
 		return err
@@ -448,45 +408,6 @@ func (e *Engine) costJobFaulty(j *Job, s *JobStats, preCombineRecords, preCombin
 		return err
 	}
 	return e.reexecuteReduce(j, s, keys, groups, rp)
-}
-
-// costMapOnlyFaulty is the event-level counterpart of costMapOnly. Map
-// output goes straight to the replicated DFS, so like reduce output it
-// survives node deaths; only in-flight attempts are killed.
-func (e *Engine) costMapOnlyFaulty(j *Job, s *JobStats, preCombineRecords, preCombineBytes int64, tasks []mapTask) error {
-	cl := e.cluster
-	cm := cl.Cost
-	scale := cl.DataScale
-	nodes := cl.effectiveNodes()
-	plan := cl.Faults
-
-	inBytes := float64(s.MapInputBytes) * scale
-	outBytes := float64(s.ReduceOutputBytes) * scale
-	repl := float64(cm.HDFSReplication - 1)
-
-	mapDisk := (inBytes + outBytes) / (nodes * cm.DiskBandwidth)
-	mapNet := outBytes * repl / (nodes * cm.NetworkBandwidth)
-	mapCPU := mapCPURecords(s, cm, scale) * cm.MapCPUPerRecord / cl.mapSlots()
-	mapBase := math.Max(mapDisk+mapNet, mapCPU) * cl.loadFactor()
-	mapWaves := math.Ceil(float64(s.NumMapTasks) / cl.mapSlots())
-	s.MapBottleneck = "disk+net"
-	if mapCPU > mapDisk+mapNet {
-		s.MapBottleneck = "cpu"
-	}
-
-	s.StartupTime = cm.JobStartup
-	s.PredictedTime = cm.JobStartup + mapBase + mapWaves*cm.TaskOverhead
-	mapStart := e.simNow + s.StartupTime
-	mp := newPhaseSched(plan, cl.Speculation, j.Name, "map",
-		mapBase/mapWaves, cm.TaskOverhead,
-		newSlotPool(int(cl.mapSlots()), cl.Nodes, mapStart, plan.deathTimes()))
-	if err := mp.run(mp.initial(s.NumMapTasks, mapStart)); err != nil {
-		return err
-	}
-	mapEnd := mp.end(mapStart)
-	s.MapTime = mapEnd - mapStart
-	e.fillFaultStats(s, mp, nil, e.simNow, mapEnd)
-	return e.reexecuteMap(j, s, tasks, mp)
 }
 
 // fillFaultStats copies the schedulers' recovery accounting into JobStats.
@@ -540,25 +461,8 @@ func (e *Engine) reexecuteMap(j *Job, s *JobStats, tasks []mapTask, mp *phaseSch
 		}
 	}
 	return e.forEachTask(len(replays), func(i int) error {
-		mt := tasks[replays[i]]
-		var taskPairs []kv
-		emit := func(key, value string) {
-			taskPairs = append(taskPairs, kv{key, value})
-		}
-		for _, line := range mt.chunk {
-			// Retries skip prefiltered lines exactly like the primary pass,
-			// so replayed attempts run the same user code on the same rows.
-			if mt.input.Prefilter != nil && !mt.input.Prefilter(line) {
-				continue
-			}
-			if err := mt.input.Mapper.Map(line, emit); err != nil {
-				return fmt.Errorf("map retry %s: %w", mt.input.Path, err)
-			}
-		}
-		if j.Reducer != nil && j.Combiner != nil {
-			if _, err := combineTask(taskPairs, j.Combiner); err != nil {
-				return fmt.Errorf("combine retry: %w", err)
-			}
+		if _, err := runMapTask(j, tasks[replays[i]]); err != nil {
+			return fmt.Errorf("retry: %w", err)
 		}
 		return nil
 	})

@@ -349,6 +349,7 @@ func (w *wireWriter) errorResponse(sqlstate, message string) error {
 // SQLSTATE codes the server emits.
 const (
 	sqlstateSyntaxError         = "42601" // syntax_error: parse/plan/translate failures
+	sqlstateDataException       = "22000" // data_exception: run-time failures such as type errors
 	sqlstateQueryCanceled       = "57014" // query_canceled: per-query timeout
 	sqlstateTooManyConns        = "53300" // too_many_connections: admission queue full
 	sqlstateShutdown            = "57P01" // admin_shutdown: graceful drain

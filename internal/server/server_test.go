@@ -118,6 +118,19 @@ func TestServerErrorsKeepConnectionUsable(t *testing.T) {
 		t.Fatalf("query_errors_total = %v, want 1", got)
 	}
 
+	// A statement that translates but fails while the map phase runs is
+	// a data exception, not a syntax error.
+	_, err = cli.Query("SELECT cid, count(*) FROM clicks WHERE cid = 'abc' GROUP BY cid")
+	if !errors.As(err, &srvErr) {
+		t.Fatalf("type error: err = %v, want *ServerError", err)
+	}
+	if srvErr.Code != sqlstateDataException {
+		t.Fatalf("type error: SQLSTATE = %s (%s), want %s", srvErr.Code, srvErr.Message, sqlstateDataException)
+	}
+	if got := srv.Registry().Value("ysmart_server_query_errors_total"); got != 2 {
+		t.Fatalf("query_errors_total = %v, want 2", got)
+	}
+
 	res, err := cli.Query(queries.QAGG)
 	if err != nil {
 		t.Fatalf("query after error: %v", err)

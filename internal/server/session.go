@@ -246,6 +246,8 @@ func (s *session) handleQuery(sql string) error {
 			sqlstate = sqlstateTooManyConns
 		case errors.Is(err, ErrDraining):
 			sqlstate = sqlstateShutdown
+		case errors.As(err, new(dataException)):
+			sqlstate = sqlstateDataException
 		}
 		s.srv.reg.Add("ysmart_server_query_errors_total", 1)
 		if werr := s.writer.errorResponse(sqlstate, err.Error()); werr != nil {
@@ -306,12 +308,19 @@ func (s *session) runQuery(sql string, start time.Time) error {
 		return fmt.Errorf("%w after %s (run cancelled)", ErrQueryTimeout, timeout)
 	}
 	if err != nil {
-		return err
+		return dataException{err}
 	}
 	srv.reg.Observe("ysmart_server_query_seconds", time.Since(start).Seconds())
 	srv.reg.Add("ysmart_server_queries_total", 1)
 	return s.sendResult(p.Schema, rows)
 }
+
+// dataException marks an error the MapReduce run itself raised, such as
+// a comparison of mismatched types inside a mapper: the statement parsed
+// and translated, so the wire reports SQLSTATE 22000, not a syntax error.
+type dataException struct{ error }
+
+func (e dataException) Unwrap() error { return e.error }
 
 // sendResult streams RowDescription + DataRows + CommandComplete.
 func (s *session) sendResult(schema *exec.Schema, rows []exec.Row) error {
